@@ -7,7 +7,7 @@ contraction bounds, root-branch recurrence for time-varying polynomials)
 at desk scale.
 """
 
-from ._kernels import USING_NUMBA, backend_name
+from ._kernels import backend_name
 from .signal import (
     SampledSignal,
     Window,
@@ -62,7 +62,6 @@ __all__ = [
     "minimality_test",
     "aap_test",
     "classify",
-    "USING_NUMBA",
     "backend_name",
     "__version__",
 ]

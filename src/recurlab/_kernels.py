@@ -1,131 +1,44 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels: sup distances, sliding-window matches, batched roots.
 
-The backend is chosen once at import time. Set the environment variable
-``RECURLAB_NO_NUMBA=1`` to force the numpy path (used by the benchmark
-suite and as a safety hatch on platforms where numba is unavailable).
-Both paths compute the same quantities; only speed differs.
+Every kernel is plain numpy; there is no compiled backend. The functions
+keep small, stable signatures so callers (and outside tracers) can bind
+them by name.
 """
-
-import os
 
 import numpy as np
 
-_want_numba = os.environ.get("RECURLAB_NO_NUMBA", "0").lower() not in ("1", "true", "yes")
-
-if _want_numba:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-if not USING_NUMBA:
-    def njit(*args, **kwargs):
-        # identity decorator so the same source defines both paths
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 def backend_name():
-    return "numba" if USING_NUMBA else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # sup distances
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _sup_diff_loop(a, b):
-    m = 0.0
-    for i in range(a.shape[0]):
-        v = abs(a[i] - b[i])
-        if v > m:
-            m = v
-    return m
-
-
-@njit(cache=True)
-def _sup_diff_rows_loop(a, b):
-    m = 0.0
-    for i in range(a.shape[0]):
-        acc = 0.0
-        for j in range(a.shape[1]):
-            d = a[i, j] - b[i, j]
-            acc += (d * d.conjugate()).real
-        if acc > m:
-            m = acc
-    return np.sqrt(m)
-
-
-@njit(cache=True)
-def _sup_diff_capped_loop(a, b, cap):
-    # early exit once the cap is exceeded; caller only needs "< cap or not"
-    m = 0.0
-    for i in range(a.shape[0]):
-        v = abs(a[i] - b[i])
-        if v > m:
-            m = v
-            if m >= cap:
-                return m
-    return m
-
-
 def sup_diff(a, b):
     """max_i |a_i - b_i| for flat arrays (real or complex)."""
-    if USING_NUMBA:
-        return float(_sup_diff_loop(a, b))
     return float(np.max(np.abs(a - b))) if len(a) else 0.0
 
 
 def sup_diff_rows(a, b):
     """max_i ||a_i - b_i||_2 over rows of (n, d) arrays."""
-    if USING_NUMBA:
-        return float(_sup_diff_rows_loop(a, b))
     d = a - b
     return float(np.sqrt(np.max(np.sum((d * d.conj()).real, axis=1)))) if len(a) else 0.0
 
 
 def sup_diff_capped(a, b, cap):
-    """Like :func:`sup_diff` but may return early with any value >= cap."""
-    if USING_NUMBA:
-        return float(_sup_diff_capped_loop(a, b, cap))
-    return float(np.max(np.abs(a - b))) if len(a) else 0.0
+    """Like :func:`sup_diff`; a result >= cap only means "not below cap".
+
+    Callers must not rely on the exact value past the cap; this kernel
+    still returns the exact sup.
+    """
+    return sup_diff(a, b)
 
 
 # ---------------------------------------------------------------------------
 # sliding-window match (minimality / alignment searches)
 # ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _min_sliding_sup_loop(src, target, offsets, stop_below):
-    # min over offsets k of sup_t |src[k+t] - target[t]|; rows are flat.
-    best = np.inf
-    best_k = -1
-    nt = target.shape[0]
-    for oi in range(offsets.shape[0]):
-        k = offsets[oi]
-        m = 0.0
-        for t in range(nt):
-            v = abs(src[k + t] - target[t])
-            if v > m:
-                m = v
-                if m >= best:
-                    break
-        if m < best:
-            best = m
-            best_k = k
-            if best < stop_below:
-                break
-    return best, best_k
-
 
 def min_sliding_sup(src, target, offsets, stop_below=0.0):
     """Minimum over integer offsets of the windowed sup distance.
@@ -134,9 +47,6 @@ def min_sliding_sup(src, target, offsets, stop_below=0.0):
     k + len(target) <= len(src). Returns (best value, best offset).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    if USING_NUMBA:
-        v, k = _min_sliding_sup_loop(src, target, offsets, stop_below)
-        return float(v), int(k)
     best = np.inf
     best_k = -1
     nt = len(target)
@@ -156,25 +66,6 @@ def min_sliding_sup(src, target, offsets, stop_below=0.0):
     return float(best), best_k
 
 
-@njit(cache=True)
-def _min_sliding_probe_loop(src, tgt_sub, offsets, probe):
-    best = np.inf
-    best_k = -1
-    for oi in range(offsets.shape[0]):
-        k = offsets[oi]
-        m = 0.0
-        for i in range(probe.shape[0]):
-            v = abs(src[k + probe[i]] - tgt_sub[i])
-            if v > m:
-                m = v
-                if m >= best:
-                    break
-        if m < best:
-            best = m
-            best_k = k
-    return best, best_k
-
-
 def min_sliding_probe(src, target_sub, offsets, probe):
     """Sliding minimum evaluated only at the probe indices of the window.
 
@@ -183,9 +74,6 @@ def min_sliding_probe(src, target_sub, offsets, probe):
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     probe = np.asarray(probe, dtype=np.int64)
-    if USING_NUMBA:
-        v, k = _min_sliding_probe_loop(src, target_sub, offsets, probe)
-        return float(v), int(k)
     best = np.inf
     best_k = -1
     chunk = max(1, int(4_000_000 // max(1, len(probe))))
@@ -204,100 +92,6 @@ def min_sliding_probe(src, target_sub, offsets, probe):
 # simultaneous polynomial root iteration (Aberth-Ehrlich + Newton polish)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _aberth_one(a, z, maxit, tol):
-    # in-place Aberth-Ehrlich sweep with a trust-region clamp on corrections
-    n = a.shape[0]
-    for _ in range(maxit):
-        moved = 0.0
-        for i in range(n):
-            # Horner for p and p'
-            p = 1.0 + 0.0j
-            dp = 0.0 + 0.0j
-            for j in range(n):
-                dp = dp * z[i] + p
-                p = p * z[i] + a[j]
-            if abs(p) <= tol:
-                continue
-            if dp == 0.0:
-                z[i] = z[i] + (0.5 + 0.5j) * (1.0 + abs(z[i]))
-                moved += 1.0
-                continue
-            w = p / dp
-            ssum = 0.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    dz = z[i] - z[j]
-                    if dz == 0.0:
-                        dz = 1e-30 + 0j
-                    ssum += 1.0 / dz
-            denom = 1.0 - w * ssum
-            if denom == 0.0:
-                corr = w
-            else:
-                corr = w / denom
-            cap = 0.5 * (1.0 + abs(z[i]))
-            ac = abs(corr)
-            if ac > cap:
-                corr = corr * (cap / ac)
-            z[i] = z[i] - corr
-            moved += abs(corr)
-        if moved <= 1e-15:
-            break
-    # Newton polish, two sweeps (no-op at multiple roots where dp ~ 0)
-    for _ in range(2):
-        for i in range(n):
-            p = 1.0 + 0.0j
-            dp = 0.0 + 0.0j
-            for j in range(n):
-                dp = dp * z[i] + p
-                p = p * z[i] + a[j]
-            if abs(dp) > 1e-12 * (1.0 + abs(p)):
-                step = p / dp
-                if abs(step) < 1.0 + abs(z[i]):
-                    z[i] = z[i] - step
-
-
-@njit(cache=True)
-def _residual_one(a, z):
-    n = a.shape[0]
-    worst = 0.0
-    for i in range(n):
-        p = 1.0 + 0.0j
-        for j in range(n):
-            p = p * z[i] + a[j]
-        if abs(p) > worst:
-            worst = abs(p)
-    return worst
-
-
-@njit(cache=True)
-def _aberth_grid_loop(coefs, seeds, maxit, rtol):
-    # coefs: (N, n) monic tail coefficients a_1..a_n per grid point.
-    # seeds: (n,) starting roots for the first point; afterwards warm-start,
-    # with a cold-seeded retry for points the warm start fails on.
-    N, n = coefs.shape
-    roots = np.empty((N, n), dtype=np.complex128)
-    z = seeds.copy()
-    for g in range(N):
-        a = coefs[g]
-        scale = 1.0
-        for j in range(n):
-            m = abs(a[j])
-            if m > scale:
-                scale = m
-        tol = rtol * (1.0 + scale) ** n
-        _aberth_one(a, z, maxit, tol)
-        if _residual_one(a, z) > tol:
-            radius = 1.0 + scale
-            for i in range(n):
-                ang = 2.0 * np.pi * (i + 0.375) / n
-                z[i] = radius * complex(np.cos(ang), np.sin(ang))
-            _aberth_one(a, z, 4 * maxit, tol)
-        roots[g] = z
-    return roots
-
-
 def _poly_eval_many(a, z):
     # a: (N, n) tail coefficients, z: (N, n) points; Horner on x^n + sum a_j x^(n-1-j)
     N, n = a.shape
@@ -307,7 +101,7 @@ def _poly_eval_many(a, z):
     return p
 
 
-def _aberth_sweep_numpy(coefs, z, maxit, tol):
+def _aberth_sweep(coefs, z, maxit, tol):
     N, n = coefs.shape
     active = np.ones(N, dtype=bool)
     for _ in range(maxit):
@@ -354,32 +148,27 @@ def _aberth_sweep_numpy(coefs, z, maxit, tol):
     return z
 
 
-def _aberth_grid_numpy(coefs, seeds, maxit, rtol):
+def aberth_grid(coefs, seeds, maxit=80, rtol=1e-12):
+    """Roots of monic polynomials along a coefficient path.
+
+    ``coefs[g]`` holds a_1..a_n of x^n + a_1 x^(n-1) + ... + a_n at grid
+    point g; every point is iterated in one batch from the seed circle,
+    and points whose residual misses the gate are re-seeded on a circle
+    of radius 1 + max(1, max_j |a_j|) and iterated again. Root ORDER per
+    point is arbitrary; callers needing continuity must match.
+    """
+    coefs = np.ascontiguousarray(coefs, dtype=np.complex128)
+    seeds = np.ascontiguousarray(seeds, dtype=np.complex128)
     N, n = coefs.shape
     z = np.tile(seeds, (N, 1)).astype(np.complex128)
     scale = np.maximum(1.0, np.max(np.abs(coefs), axis=1))
     tol = rtol * (1.0 + scale) ** n
-    z = _aberth_sweep_numpy(coefs, z, maxit, tol)
+    z = _aberth_sweep(coefs, z, maxit, tol)
     res = _poly_eval_many(coefs, z)
     bad = np.max(np.abs(res), axis=1) > tol
     if bad.any():
         radius = (1.0 + scale[bad])[:, None]
         angles = 2 * np.pi * (np.arange(n) + 0.375) / n
         zb = radius * np.exp(1j * angles)[None, :]
-        z[bad] = _aberth_sweep_numpy(coefs[bad], zb.astype(np.complex128), 4 * maxit, tol[bad])
+        z[bad] = _aberth_sweep(coefs[bad], zb.astype(np.complex128), 4 * maxit, tol[bad])
     return z
-
-
-def aberth_grid(coefs, seeds, maxit=80, rtol=1e-12):
-    """Roots of monic polynomials along a coefficient path.
-
-    ``coefs[g]`` holds a_1..a_n of x^n + a_1 x^(n-1) + ... + a_n at grid
-    point g; the iteration warm-starts from the previous point's roots
-    (numba path) or runs batched from the seed circle (numpy path). Root
-    ORDER per point is arbitrary; callers needing continuity must match.
-    """
-    coefs = np.ascontiguousarray(coefs, dtype=np.complex128)
-    seeds = np.ascontiguousarray(seeds, dtype=np.complex128)
-    if USING_NUMBA:
-        return _aberth_grid_loop(coefs, seeds, maxit, rtol)
-    return _aberth_grid_numpy(coefs, seeds, maxit, rtol)

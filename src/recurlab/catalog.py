@@ -69,6 +69,27 @@ def eval_expr(node, t, x, params=None, forcing_value=None, _depth=0):
     raise ConfigError(f"unknown expression op {op!r}", key="expr")
 
 
+def build_field(kind, table, key, params, expr, forcing):
+    """Field f(t, x) for kind "catalog:<id>" (looked up in table) or "expr".
+
+    An "expr" field evaluates one expression tree per component, reading
+    ["forcing"] nodes by linear interpolation of the forcing signal.
+    Errors name the config key (``rhs`` or ``map``) the kind came from.
+    """
+    if kind.startswith("catalog:"):
+        cid = kind.split(":", 1)[1]
+        if cid not in table:
+            raise ConfigError(f"unknown {key} id {cid!r}", key=key)
+        return table[cid]["builder"](params, forcing)
+    if kind == "expr":
+        def f(t, x):
+            fv = forcing.value_at(t) if forcing is not None else None
+            return np.array([eval_expr(tree, t, x, params, fv) for tree in expr], dtype=float)
+
+        return f
+    raise ConfigError(f"unknown {key} kind {kind!r}", key=key)
+
+
 # ---------------------------------------------------------------------------
 # forcing signals
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def _run_dde(cfg, outdir):
     from .delay import DelayRhsSpec, HistorySegment, integrate_dde, precompactness_proxy
 
     forcing = _build_signal(cfg["forcing"]) if "forcing" in cfg else None
-    rhs = DelayRhsSpec(lags=tuple(float(x) for x in cfg["lags"]), kind="linear",
+    rhs = DelayRhsSpec(lags=tuple(float(x) for x in cfg["lags"]),
                        params={"weights": [float(w) for w in cfg.get("weights", [-1.0])]},
                        forcing=forcing)
     r = float(cfg["r"])

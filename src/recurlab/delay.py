@@ -50,15 +50,13 @@ class HistorySegment:
 
 @dataclass(frozen=True)
 class DelayRhsSpec:
-    """Functional form over finitely many point lags in [-r, 0].
+    """Linear functional over finitely many point lags in [-r, 0].
 
-    kind "linear": u' = sum_j weights[j] * u(t + lags[j]) + forcing(t) on
-    the first component. kind "callable": params["fn"](t, lagged) with
-    lagged of shape (n_lags, dim) - library use only, not configurable.
+    u' = sum_j weights[j] * u(t + lags[j]) + forcing(t) on the first
+    component.
     """
 
     lags: tuple
-    kind: str = "linear"
     dim: int = 1
     params: dict = field(default_factory=dict)
     forcing: SampledSignal = None
@@ -67,23 +65,19 @@ class DelayRhsSpec:
         for th in self.lags:
             if th < -r - 1e-12 or th > 1e-12:
                 raise LagOutOfRangeError(f"lag {th} outside [-{r}, 0]")
-        if self.kind == "linear":
-            weights = np.asarray(self.params.get("weights", [-1.0] * len(self.lags)), dtype=float)
-            if len(weights) != len(self.lags):
-                raise ConfigError("weights must match lags", key="weights")
-            forcing = self.forcing
+        weights = np.asarray(self.params.get("weights", [-1.0] * len(self.lags)), dtype=float)
+        if len(weights) != len(self.lags):
+            raise ConfigError("weights must match lags", key="weights")
+        forcing = self.forcing
 
-            def f(t, lagged):
-                out = np.tensordot(weights, lagged, axes=(0, 0))
-                if forcing is not None:
-                    out = out.copy()
-                    out[0] += forcing.value_at(t)[0].real
-                return out
+        def f(t, lagged):
+            out = np.tensordot(weights, lagged, axes=(0, 0))
+            if forcing is not None:
+                out = out.copy()
+                out[0] += forcing.value_at(t)[0].real
+            return out
 
-            return f
-        if self.kind == "callable":
-            return self.params["fn"]
-        raise ConfigError(f"unknown delay rhs kind {self.kind!r}", key="rhs")
+        return f
 
 
 def _hermite(y0, y1, d0, d1, s, h):

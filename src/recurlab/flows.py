@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteRhsError,
     StepSizeUnderflowError,
 )
-from .signal import SampledSignal, Window, translate
+from .signal import SampledSignal, Window, fiber_consensus, leader_clusters, translate
 
 
 # ---------------------------------------------------------------------------
@@ -47,28 +47,8 @@ class RhsSpec:
     forcing: SampledSignal = None
 
     def build(self):
-        if self.kind.startswith("catalog:"):
-            cid = self.kind.split(":", 1)[1]
-            if cid not in _catalog.RHS_CATALOG:
-                from .errors import ConfigError
-
-                raise ConfigError(f"unknown rhs id {cid!r}", key="rhs")
-            return _catalog.RHS_CATALOG[cid]["builder"](self.params, self.forcing)
-        if self.kind == "expr":
-            trees = self.expr
-            forcing = self.forcing
-            params = self.params
-
-            def f(t, x):
-                fv = forcing.value_at(t) if forcing is not None else None
-                return np.array([
-                    _catalog.eval_expr(tree, t, x, params, fv) for tree in trees
-                ], dtype=float)
-
-            return f
-        from .errors import ConfigError
-
-        raise ConfigError(f"unknown rhs kind {self.kind!r}", key="rhs")
+        return _catalog.build_field(self.kind, _catalog.RHS_CATALOG, "rhs",
+                                    self.params, self.expr, self.forcing)
 
     def shifted(self, h: float):
         """Same field driven by the h-translated forcing (hull element f^h)."""
@@ -309,8 +289,6 @@ def fiber_count(runs, burn_in: float, cluster_tol: float) -> FiberReport:
     The consensus m is the count shared by every shift; non-constant counts
     are flagged (constant=False) and the modal count reported.
     """
-    from .signal import sup_distance
-
     by_shift = {}
     for run in runs:
         by_shift.setdefault(run.shift, []).append(run)
@@ -324,15 +302,10 @@ def fiber_count(runs, burn_in: float, cluster_tol: float) -> FiberReport:
                 raise ValueError(f"burn-in {burn_in} swallows the whole horizon {dom.b}")
             segs.append(run.sol.restrict(Window(burn_in, dom.b)))
         w = segs[0].domain
-        leaders = []
-        for seg in segs:
-            if not any(sup_distance(seg, l, w) < cluster_tol for l in leaders):
-                leaders.append(seg)
+        leaders = [segs[cl[0]] for cl in leader_clusters(segs, w, cluster_tol)]
         per_shift[h] = len(leaders)
         reps[h] = leaders
-    counts = sorted(set(per_shift.values()))
-    constant = len(counts) == 1
-    m = counts[0] if constant else int(np.argmax(np.bincount(list(per_shift.values()))))
+    m, constant = fiber_consensus(per_shift)
     return FiberReport(per_shift, m, constant, reps)
 
 

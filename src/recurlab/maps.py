@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from . import catalog as _catalog
-from .errors import ConfigError, NonFiniteValueError
-from .signal import SampledSignal, Window, sup_distance
+from .errors import NonFiniteValueError
+from .signal import SampledSignal, Window, fiber_consensus, leader_clusters, translate
 
 #: overflow guard: iteration aborts when any |u| exceeds this
 OVERFLOW_LIMIT = 1e12
@@ -28,30 +29,12 @@ class MapSpec:
     forcing: SampledSignal = None
 
     def build(self):
-        if self.kind.startswith("catalog:"):
-            cid = self.kind.split(":", 1)[1]
-            if cid not in _catalog.MAP_CATALOG:
-                raise ConfigError(f"unknown map id {cid!r}", key="map")
-            return _catalog.MAP_CATALOG[cid]["builder"](self.params, self.forcing)
-        if self.kind == "expr":
-            trees = self.expr
-            forcing = self.forcing
-            params = self.params
-
-            def g(t, u):
-                fv = forcing.value_at(t) if forcing is not None else None
-                return np.array([
-                    _catalog.eval_expr(tree, t, u, params, fv) for tree in trees
-                ], dtype=float)
-
-            return g
-        raise ConfigError(f"unknown map kind {self.kind!r}", key="map")
+        return _catalog.build_field(self.kind, _catalog.MAP_CATALOG, "map",
+                                    self.params, self.expr, self.forcing)
 
     def shifted(self, h: int):
         if self.forcing is None:
             return self
-        from .signal import translate
-
         return MapSpec(self.kind, self.dim, self.params, self.expr,
                        translate(self.forcing, float(h)))
 
@@ -78,9 +61,8 @@ def asymptotic_period(seg: SampledSignal, tol: float, p_max: int = None) -> int:
     if p_max is None:
         p_max = n // 2
     v = seg.values
-    for p in range(1, p_max + 1):
-        d = v[p:] - v[:-p]
-        if float(np.max(np.sqrt(np.sum((d * d.conj()).real, axis=1)))) < tol:
+    for p in range(1, min(p_max, n - 1) + 1):  # p < n keeps the overlap non-empty
+        if _kernels.sup_diff_rows(v[p:], v[:-p]) < tol:
             return p
     return 0
 
@@ -120,13 +102,8 @@ def discrete_fiber_count(m: MapSpec, shifts, x0_set, n_steps: int, burn_in: int,
             sol = iterate(mh, x0, n_steps)
             segs.append(sol.restrict(Window(float(burn_in), float(n_steps))))
         w = segs[0].domain
-        leaders = []
-        for seg in segs:
-            if not any(sup_distance(seg, l, w) < cluster_tol for l in leaders):
-                leaders.append(seg)
+        leaders = [segs[cl[0]] for cl in leader_clusters(segs, w, cluster_tol)]
         per_shift[int(h)] = len(leaders)
         periods[int(h)] = [asymptotic_period(l, cluster_tol) for l in leaders]
-    counts = sorted(set(per_shift.values()))
-    constant = len(counts) == 1
-    mm = counts[0] if constant else int(np.argmax(np.bincount(list(per_shift.values()))))
+    mm, constant = fiber_consensus(per_shift)
     return DiscreteFiberReport(per_shift, mm, constant, periods)

@@ -21,7 +21,7 @@ from .errors import (
     HullNotAPError,
     WindowTooShortError,
 )
-from .signal import SampledSignal, Window, sup_distance, translate
+from .signal import SampledSignal, Window, leader_clusters, shift_values, sup_distance, translate
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +189,6 @@ def _flat(s: SampledSignal):
     return s.values[:, 0]
 
 
-def _shifted_flat(s: SampledSignal, tau: float):
-    """Values of t -> s(t + tau) on s's grid phase (view when tau is a grid multiple)."""
-    v = _flat(s)
-    pos = tau / s.dt
-    k = int(np.floor(pos))
-    fr = pos - k
-    if abs(fr) <= 1e-9 or abs(fr - 1.0) <= 1e-9:
-        k = round(pos)
-        return v[k:]
-    m = len(v) - k - 1
-    return (1.0 - fr) * v[k:k + m] + fr * v[k + 1:k + 1 + m]
-
-
 def translation_set_global(s: SampledSignal, eps: float, w: Window, cands: TauSpec) -> TranslationSet:
     """Bohr-type translation set: tau accepted iff sup |s(t+tau)-s(t)| < eps on w.
 
@@ -219,7 +206,7 @@ def translation_set_global(s: SampledSignal, eps: float, w: Window, cands: TauSp
     i_a, i_b = s.window_slice(w)
 
     def sup_at(tau, cap):
-        sh = _shifted_flat(s, tau)
+        sh = shift_values(base, s.dt, tau)
         j_b = min(i_b, len(sh) - 1)
         if j_b <= i_a:
             return np.inf
@@ -304,7 +291,7 @@ def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> Tran
 
     def attempt(tau):
         """(accepted, L, tail_sup_at_L, near_miss_value)."""
-        sh = _shifted_flat(s, tau)
+        sh = shift_values(base, s.dt, tau)
         m = len(sh)
         i_max = m - 1 - min_tail_steps
         if i_max < 0:
@@ -317,7 +304,7 @@ def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> Tran
         return True, s.t0 + idx * s.dt, float(v), float(late)
 
     def late_sup(tau):
-        sh = _shifted_flat(s, tau)
+        sh = shift_values(base, s.dt, tau)
         m = len(sh)
         i_max = m - 1 - min_tail_steps
         if i_max < 0:
@@ -340,7 +327,7 @@ def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> Tran
 def least_tail_threshold(s: SampledSignal, tau: float, eps: float, min_tail: float):
     """Least grid L with tail sup |s(t+tau)-s(t)| < eps for t >= L, or None."""
     base = _flat(s)
-    sh = _shifted_flat(s, tau)
+    sh = shift_values(base, s.dt, tau)
     m = len(sh)
     i_max = m - 1 - max(1, int(np.ceil(min_tail / s.dt)))
     if i_max < 0:
@@ -390,7 +377,7 @@ def thap4_equivalence_check(s: SampledSignal, eps: float, cands: TauSpec) -> boo
     min_tail_steps = max(1, int(np.ceil(min_tail / s.dt)))
 
     def accepted(tau, variant):
-        sh = _shifted_flat(s, tau)
+        sh = shift_values(base, s.dt, tau)
         m = len(sh)
         i_max = m - 1 - min_tail_steps
         if i_max < 0:
@@ -448,19 +435,7 @@ def omega_limit_sample(s: SampledSignal, shift_grid, window_len: float,
     w = Window(s.t0, s.t0 + window_len)
     members = [translate(s, h).restrict(w) for h in shifts]
 
-    # leader clustering in shift order, deterministic
-    leaders = []           # representative index per cluster (provisional)
-    clusters = []          # lists of member indices
-    for i, m in enumerate(members):
-        placed = False
-        for ci, li in enumerate(leaders):
-            if sup_distance(m, members[li], w) < cluster_tol:
-                clusters[ci].append(i)
-                placed = True
-                break
-        if not placed:
-            leaders.append(i)
-            clusters.append([i])
+    clusters = leader_clusters(members, w, cluster_tol)  # shift order, deterministic
 
     rep_idx = []
     for cl in clusters:
@@ -500,19 +475,12 @@ def equi_ap_test(hull: HullSample, eps: float, cands: TauSpec,
     if W < 4 * np.max(taus):
         raise WindowTooShortError(f"member window {W} < 4 x largest tau {np.max(taus)}")
     flats = [_flat(m) for m in hull.members]
+    dt = hull.members[0].dt
 
     def joint_sup(tau, cap):
         worst = 0.0
         for v in flats:
-            pos = tau / hull.members[0].dt
-            k = int(np.floor(pos))
-            fr = pos - k
-            if abs(fr) <= 1e-9 or abs(fr - 1.0) <= 1e-9:
-                k = round(pos)
-                sh = v[k:]
-            else:
-                mm = len(v) - k - 1
-                sh = (1.0 - fr) * v[k:k + mm] + fr * v[k + 1:k + 1 + mm]
+            sh = shift_values(v, dt, tau)
             m = len(sh)
             if m < 2:
                 return np.inf
@@ -661,7 +629,7 @@ def aap_test(s: SampledSignal, hull: HullSample, eps: float,
     return residual < eps, residual, {"member": int(best[1]), "delta": float(best[2] * dt)}
 
 
-def _disjoint_window_aap_residual(s: SampledSignal, eps: float):
+def _disjoint_window_aap_residual(s: SampledSignal):
     """AAP proxy without an external AP family.
 
     Compares the final window of s against a slid early-mid window of the
@@ -781,7 +749,7 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
         rtp_flag, rtp_tau = True, float(th.stationary_taus[0])
 
     aap_eps = th.epsilon_grid[0]
-    residual, match_at = _disjoint_window_aap_residual(s, aap_eps)
+    residual, match_at = _disjoint_window_aap_residual(s)
     evidence["aap"] = {"residual": residual, "matched_at": match_at,
                        "threshold": aap_eps}
     aap_flag = residual < aap_eps

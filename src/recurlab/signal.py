@@ -173,6 +173,23 @@ class SampledSignal:
 # operations
 # ---------------------------------------------------------------------------
 
+def shift_values(v, dt, h):
+    """Samples of t -> v(t + h) on v's own grid phase, for h >= 0.
+
+    ``v`` holds samples on a grid of step dt (flat or (n, d)). When h is a
+    grid multiple within GRID_RTOL the result is the view v[k:]; otherwise
+    neighbouring samples are blended linearly. Past the span the result is
+    empty.
+    """
+    pos = h / dt
+    k = int(np.floor(pos))
+    fr = pos - k
+    if abs(fr) <= GRID_RTOL or abs(fr - 1.0) <= GRID_RTOL:
+        return v[round(pos):]
+    m = len(v) - k - 1
+    return (1.0 - fr) * v[k:k + m] + fr * v[k + 1:k + 1 + m]
+
+
 def translate(s: SampledSignal, h: float) -> SampledSignal:
     """The h-translation t -> s(t + h) on the surviving domain.
 
@@ -184,19 +201,9 @@ def translate(s: SampledSignal, h: float) -> SampledSignal:
         raise ValueError("translation requires h >= 0")
     if h == 0:
         return s
-    pos = h / s.dt
-    k = int(np.floor(pos))
-    fr = pos - k
-    if abs(fr) <= GRID_RTOL or abs(fr - 1.0) <= GRID_RTOL:
-        k = round(pos)
-        fr = 0.0
-    m = len(s) - k - (1 if fr > 0 else 0)
-    if m <= 0:
+    vals = shift_values(s.values, s.dt, h)
+    if len(vals) == 0:
         raise EmptyDomainError(f"translation by h={h} exceeds span {s.span}")
-    if fr == 0.0:
-        vals = s.values[k:k + m]
-    else:
-        vals = (1.0 - fr) * s.values[k:k + m] + fr * s.values[k + 1:k + 1 + m]
     return SampledSignal(t0=s.t0, dt=s.dt, values=vals, label=s.label)
 
 
@@ -232,6 +239,32 @@ def sup_distance(s1: SampledSignal, s2: SampledSignal, w: Window) -> float:
     if a.shape[1] == 1:
         return _kernels.sup_diff(a[:, 0], b[:, 0])
     return _kernels.sup_diff_rows(a, b)
+
+
+def leader_clusters(members, w: Window, tol: float):
+    """First-fit leader clustering of signals, in the given order.
+
+    A member joins the first cluster whose leader (its first member) lies
+    within sup distance tol of it on w, else it leads a new cluster.
+    Returns the clusters as lists of member indices.
+    """
+    clusters = []
+    for i, m in enumerate(members):
+        for cl in clusters:
+            if sup_distance(m, members[cl[0]], w) < tol:
+                cl.append(i)
+                break
+        else:
+            clusters.append([i])
+    return clusters
+
+
+def fiber_consensus(per_shift):
+    """(m, constant): the cluster count shared by every shift, else the modal count."""
+    counts = sorted(set(per_shift.values()))
+    if len(counts) == 1:
+        return counts[0], True
+    return int(np.argmax(np.bincount(list(per_shift.values())))), False
 
 
 def common_domain(s1: SampledSignal, s2: SampledSignal) -> Window:

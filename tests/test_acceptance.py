@@ -49,15 +49,6 @@ def announce(criterion, text):
     print(f"\n[criterion {criterion}] PASS: {text}")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels outside the timed sections
-    s = SampledSignal.from_function(np.sin, 0, 60.0, 0.01)
-    translation_set_remote(s, 0.5, TauSpec(lo=TWO_PI, hi=2 * TWO_PI, step=TWO_PI))
-    p = PolyPath.from_functions([lambda t: 0 * t, lambda t: 0 * t - 1.0], 0, 1, 0.5)
-    track_branches(p)
-
-
 @pytest.fixture(scope="module")
 def drifting_sine():
     return SampledSignal.from_function(lambda t: np.sin(t + np.log1p(t)),

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from recurlab.algebra import PolyPath, discriminant_signal, root_bound_check, roots_at, \
     track_branches
+from recurlab.errors import EmptyDomainError
 from recurlab.flows import attraction_time, contraction_modulus
 from recurlab.maps import MapSpec, iterate
 from recurlab.signal import (
     SampledSignal,
     Window,
     d_infinity_estimate,
+    shift_values,
     sup_distance,
     tail_sup_distance,
     translate,
@@ -73,6 +75,25 @@ def test_translate_composition(a, b):
     # interpolation tolerance dt^2 |s''| / 8 with |s''| <= 1.7^2 + 0.3*0.4^2
     tol = 2 * (0.01 ** 2) * 2.94 / 8 + 1e-12
     assert sup_distance(lhs, rhs, Window(0, end)) <= tol
+
+
+@given(st.integers(0, 10_000), st.integers(0, 640), st.floats(min_value=0.0, max_value=1.0),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_scan_shift_is_translate_bit_for_bit(seed, k, frac, on_grid):
+    s = random_signal(seed)
+    tau = (k + (0.0 if on_grid else frac)) * s.dt
+    sh = shift_values(s.values[:, 0], s.dt, tau)
+    try:
+        tr = translate(s, tau)
+    except EmptyDomainError:
+        assert len(sh) == 0  # past the span: the scan sees an empty shift
+        return
+    assert sh.shape == (len(tr),)
+    assert sh.tobytes() == tr.values[:, 0].tobytes()
+    ts = s.t0 + s.dt * np.arange(0, len(sh), 37)
+    expected = [s.value_at(t + tau)[0] for t in ts]
+    assert np.allclose(sh[::37], expected, rtol=0, atol=1e-12)
 
 
 @given(st.floats(min_value=0.01, max_value=3.0),
