@@ -125,7 +125,8 @@ def _aberth_sweep(coefs, z, maxit, tol):
         corr = w / denom
         cap = 0.5 * (1.0 + np.abs(za))
         ac = np.abs(corr)
-        corr = np.where(ac > cap, corr * (cap / np.where(ac == 0, 1.0, ac)), corr)
+        # clamp |corr| to cap; dividing by max(|corr|, cap) >= 0.5 cannot overflow
+        corr = corr * (cap / np.maximum(ac, cap))
         done = np.abs(p) <= tol[active][:, None]
         corr = np.where(done, 0.0, corr)
         z[active] = za - corr

@@ -22,7 +22,7 @@ from . import __version__, _kernels
 from .catalog import RHS_CATALOG, build_forcing, catalog_listing
 from .errors import BranchCollisionError, ConfigError, RecurlabError
 from .recurrence import TauSpec, Thresholds, classify, equi_ap_test, minimality_test, \
-    omega_limit_sample, translation_set_remote
+    omega_limit_sample
 from .signal import SampledSignal, Window, read_signal_csv, write_signal_csv
 
 SCHEMA_VERSION = 1
@@ -126,14 +126,13 @@ def _run_classify(cfg, outdir):
     if "restrict" in cfg:
         s = s.restrict(Window(float(cfg["restrict"][0]), float(cfg["restrict"][1])))
     th = _build_thresholds(cfg["thresholds"])
-    report = classify(s, th).to_dict()
+    rep = classify(s, th)
     artifacts = []
     if cfg.get("write_translation_set", False):
-        ts = translation_set_remote(s, th.epsilon_grid[0], th.tau_candidates.clipped(s.span / 4))
         path = outdir / "translation_set.csv"
-        ts.write_csv(path)
+        rep.remote_set.write_csv(path)
         artifacts.append(path)
-    return report, artifacts
+    return rep.to_dict(), artifacts
 
 
 def _run_omega(cfg, outdir):

@@ -21,7 +21,8 @@ from .errors import (
     HullNotAPError,
     WindowTooShortError,
 )
-from .signal import SampledSignal, Window, leader_clusters, shift_values, sup_distance, translate
+from .signal import SampledSignal, Window, leader_clusters, shift_offset, shift_values, \
+    sup_distance, translate
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +243,25 @@ def _local_refine(objective, tau0, step, eps, stages=3, pts=13):
     return best_t, best_v
 
 
-def _least_tail_index(sh, base, eps, i_max):
-    """Smallest grid index i <= i_max with sup |sh[i:]-base[i:]| < eps, or None.
+def _tail_profile(base, dt, tau, tail_steps, eps):
+    """(i_max, late, prof) for d = |s(t+tau) - s(t)| where s(t+tau) is sampled.
 
-    Exploits monotone decrease of the tail sup in the tail start.
+    late is the sup of d over the final tail_steps + 1 grid points, which
+    start at index i_max ((0, inf, None) when fewer exist); only that window
+    is formed unless late < eps. Then prof[i] is the sup of d from index i
+    on, the reversed cumulative max: it is nonincreasing, so the least tail
+    start with sup < eps' is count_nonzero(prof >= eps'). Otherwise prof is
+    None.
     """
-    m = len(sh)
-    b = base[:m]
-    if _kernels.sup_diff_capped(sh, b, eps) < eps:
-        return 0
-    if _kernels.sup_diff_capped(sh[i_max:], b[i_max:], eps) >= eps:
-        return None
-    lo, hi = 0, i_max
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _kernels.sup_diff_capped(sh[mid:], b[mid:], eps) < eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    m = shift_offset(len(base), dt, tau)[2]
+    if m <= tail_steps:
+        return 0, np.inf, None
+    i_max = m - 1 - tail_steps
+    late = _kernels.sup_diff(shift_values(base, dt, tau, last=tail_steps + 1), base[i_max:m])
+    if late >= eps:
+        return i_max, late, None
+    d = np.abs(shift_values(base, dt, tau) - base[:m])
+    return i_max, late, np.maximum.accumulate(d[::-1])[::-1]
 
 
 #: accepted tails must also cover this fraction of the signal horizon;
@@ -269,14 +270,20 @@ def _least_tail_index(sh, base, eps, i_max):
 MIN_TAIL_SPAN_FRACTION = 0.02
 
 
+def _remote_tail_steps(s: SampledSignal, cands: TauSpec):
+    min_tail = max(cands.step, MIN_TAIL_SPAN_FRACTION * s.span)
+    return max(1, int(np.ceil(min_tail / s.dt)))
+
+
 def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> TranslationSet:
     """Remote translation set: tau accepted iff a tail threshold L exists.
 
-    For each tau the least grid L with tail sup < eps is found by monotone
-    bisection; acceptance requires a residual tail of at least one candidate
-    step and MIN_TAIL_SPAN_FRACTION of the horizon. Near-misses (tail sup
-    within 2x eps at the latest admissible L) are refined in tau before
-    rejection.
+    For each tau the least grid L with tail sup < eps is read off the tail
+    profile; acceptance requires a residual tail of at least one candidate
+    step and MIN_TAIL_SPAN_FRACTION of the horizon. The profile is built
+    only when that latest admissible tail passes, so rejections read the
+    late window alone. Near-misses (late sup within 2x eps) are refined in
+    tau on the late window before rejection.
     """
     taus = cands.candidates()
     if len(taus) == 0:
@@ -286,72 +293,61 @@ def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> Tran
             f"domain length {s.span} < 4 x largest candidate {np.max(taus)}"
         )
     base = _flat(s)
-    min_tail = max(cands.step, MIN_TAIL_SPAN_FRACTION * s.span)
-    min_tail_steps = max(1, int(np.ceil(min_tail / s.dt)))
+    tail_steps = _remote_tail_steps(s, cands)
 
-    def attempt(tau):
-        """(accepted, L, tail_sup_at_L, near_miss_value)."""
-        sh = shift_values(base, s.dt, tau)
-        m = len(sh)
-        i_max = m - 1 - min_tail_steps
-        if i_max < 0:
-            return False, s.t0, np.inf, np.inf
-        late = _kernels.sup_diff_capped(sh[i_max:], base[i_max:m], 2.2 * eps)
-        idx = _least_tail_index(sh, base, eps, i_max)
-        if idx is None:
-            return False, s.t0 + i_max * s.dt, float(late), float(late)
-        v = _kernels.sup_diff_capped(sh[idx:], base[idx:m], np.inf)
-        return True, s.t0 + idx * s.dt, float(v), float(late)
+    def late_sup(tau):  # eps = 0 forms the late window alone
+        return _tail_profile(base, s.dt, tau, tail_steps, 0.0)[1]
 
-    def late_sup(tau):
-        sh = shift_values(base, s.dt, tau)
-        m = len(sh)
-        i_max = m - 1 - min_tail_steps
-        if i_max < 0:
-            return np.inf
-        return _kernels.sup_diff_capped(sh[i_max:], base[i_max:m], 2.2 * eps)
+    def entry(tau, refined=False):
+        i_max, late, prof = _tail_profile(base, s.dt, tau, tail_steps, eps)
+        if prof is None:
+            return TranslationEntry(float(tau), False, float(s.t0 + i_max * s.dt), float(late))
+        idx = int(np.count_nonzero(prof >= eps))
+        return TranslationEntry(float(tau), True, float(s.t0 + idx * s.dt), float(prof[idx]),
+                                refined)
 
     entries = []
     for tau in taus:
-        ok, L, v, near = attempt(tau)
-        entries.append(TranslationEntry(float(tau), ok, float(L), float(v)))
-        if not ok and cands.refine and near < 2 * eps:
+        e = entry(tau)
+        entries.append(e)
+        if not e.accepted and cands.refine and e.tail_sup < 2 * eps:
             t_best, v_best = _local_refine(late_sup, tau, cands.step, eps)
-            if v_best < eps and t_best > 0:
-                ok2, L2, v2, _ = attempt(t_best)
-                if ok2:
-                    entries.append(TranslationEntry(float(t_best), True, float(L2), float(v2), refined=True))
+            if v_best < eps and t_best > 0:  # v_best is t_best's late sup: accepted
+                entries.append(entry(t_best, refined=True))
     return TranslationSet(eps, entries, Window(0.0, float(np.max(taus))), cands.step)
 
 
-def least_tail_threshold(s: SampledSignal, tau: float, eps: float, min_tail: float):
-    """Least grid L with tail sup |s(t+tau)-s(t)| < eps for t >= L, or None."""
+def _least_tails(s: SampledSignal, tau: float, eps_grid, min_tail: float):
+    """Least grid L per eps with tail sup < eps (None when no admissible L), from one profile."""
     base = _flat(s)
-    sh = shift_values(base, s.dt, tau)
-    m = len(sh)
-    i_max = m - 1 - max(1, int(np.ceil(min_tail / s.dt)))
-    if i_max < 0:
-        return None
-    idx = _least_tail_index(sh, base, eps, i_max)
-    return None if idx is None else s.t0 + idx * s.dt
+    tail_steps = max(1, int(np.ceil(min_tail / s.dt)))
+    i_max, _, prof = _tail_profile(base, s.dt, tau, tail_steps, max(eps_grid, default=0.0))
+    if prof is None:
+        return [None] * len(eps_grid)
+    idx = [int(np.count_nonzero(prof >= eps)) for eps in eps_grid]
+    return [s.t0 + i * s.dt if i <= i_max else None for i in idx]
+
+
+def least_tail_threshold(s: SampledSignal, tau: float, eps: float, min_tail: float):
+    """Least grid L with tail sup |s(t+tau)-s(t)| < eps for t >= L, or None.
+
+    L must leave a tail of min_tail; it is read off the tail profile.
+    """
+    return _least_tails(s, tau, (eps,), min_tail)[0]
 
 
 def remotely_tau_periodic_test(s: SampledSignal, tau: float, eps_grid, min_tail=None):
     """True iff for every eps the translate-by-tau passes the tail test.
 
-    Returns (flag, {eps: L or None}).
+    One tail profile serves the whole eps grid. Returns (flag, {eps: L or None}).
     """
     if s.span < 2 * tau:
         raise DomainTooShortError(f"domain {s.span} too short for tau={tau}")
     if min_tail is None:
         min_tail = max(tau, 10 * s.dt, MIN_TAIL_SPAN_FRACTION * s.span)
-    table = {}
-    flag = True
-    for eps in eps_grid:
-        L = least_tail_threshold(s, tau, eps, min_tail)
-        table[float(eps)] = L
-        flag = flag and (L is not None)
-    return flag, table
+    Ls = _least_tails(s, tau, eps_grid, min_tail)
+    table = {float(eps): L for eps, L in zip(eps_grid, Ls)}
+    return all(L is not None for L in Ls), table
 
 
 def remotely_stationary_test(s: SampledSignal, eps_grid, taus, min_tail=None):
@@ -369,32 +365,23 @@ def thap4_equivalence_check(s: SampledSignal, eps: float, cands: TauSpec) -> boo
     """Accepted sets under the plain tail rule vs the t, t+tau >= L variant.
 
     For nonnegative tau the two Bohr-type tail conditions coincide; both
-    are computed independently and compared. Two-sided signals are out of
-    scope: only tau >= 0 is scanned.
+    are read from one tail profile per tau and compared. Two-sided signals
+    are out of scope: only tau >= 0 is scanned.
     """
     base = _flat(s)
-    min_tail = max(cands.step, MIN_TAIL_SPAN_FRACTION * s.span)
-    min_tail_steps = max(1, int(np.ceil(min_tail / s.dt)))
-
-    def accepted(tau, variant):
-        sh = shift_values(base, s.dt, tau)
-        m = len(sh)
-        i_max = m - 1 - min_tail_steps
-        if i_max < 0:
-            return False
-        idx = _least_tail_index(sh, base, eps, i_max)
-        if idx is None:
-            return False
-        if variant == "both-ends":
+    tail_steps = _remote_tail_steps(s, cands)
+    set_a, set_b = [], []
+    for tau in cands.candidates():
+        prof = _tail_profile(base, s.dt, tau, tail_steps, eps)[2]
+        plain = both = prof is not None
+        if plain:
+            idx = int(np.count_nonzero(prof >= eps))
             # require t >= L and t + tau >= L for the found L; tau >= 0 makes
             # the second constraint redundant but it is enforced literally
             i_start = max(idx, int(np.ceil((idx * s.dt - tau) / s.dt)))
-            return _kernels.sup_diff_capped(sh[i_start:], base[i_start:m], eps) < eps
-        return True
-
-    taus = cands.candidates()
-    set_a = [bool(accepted(t, "plain")) for t in taus]
-    set_b = [bool(accepted(t, "both-ends")) for t in taus]
+            both = bool(prof[i_start] < eps)
+        set_a.append(plain)
+        set_b.append(both)
     return set_a == set_b
 
 
@@ -659,6 +646,8 @@ class RecurrenceReport:
     evidence: dict
     thresholds: Thresholds
     window: Window
+    #: the finest-eps remote TranslationSet behind the rap evidence; not in to_dict
+    remote_set: TranslationSet = None
 
     def to_dict(self):
         # stable key order: flags, evidence, thresholds, window
@@ -719,11 +708,8 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
         ap_flag = ap_flag and dense
 
     rap_scan = True
-    finest_remote = None
-    for eps in th.epsilon_grid:
-        ts = translation_set_remote(s, eps, cands)
-        if finest_remote is None:
-            finest_remote = ts
+    remote_sets = [translation_set_remote(s, eps, cands) for eps in th.epsilon_grid]
+    for eps, ts in zip(th.epsilon_grid, remote_sets):
         dense = ts.relatively_dense(th.gap_bound_factor)
         evidence["rap"][f"{eps:g}"] = {
             "n_accepted": int(len(ts.accepted_taus())),
@@ -734,8 +720,7 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
 
     # remote tau-periodicity: try the smallest accepted remote translations
     rtp_flag, rtp_tau = False, None
-    acc = finest_remote.representatives() if finest_remote is not None else []
-    for tau in list(acc[:8]):
+    for tau in list(remote_sets[0].representatives()[:8]):
         ok, table = remotely_tau_periodic_test(s, float(tau), th.epsilon_grid)
         if ok:
             rtp_flag, rtp_tau = True, float(tau)
@@ -770,4 +755,4 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
         "remotely_stationary": bool(stat_flag),
         "lagrange_stable_proxy": bool(lag_flag),
     }
-    return RecurrenceReport(flags, evidence, th, w)
+    return RecurrenceReport(flags, evidence, th, w, remote_sets[0])

@@ -173,21 +173,35 @@ class SampledSignal:
 # operations
 # ---------------------------------------------------------------------------
 
-def shift_values(v, dt, h):
-    """Samples of t -> v(t + h) on v's own grid phase, for h >= 0.
+def shift_offset(n, dt, h):
+    """(k, fr, m) for shifting n samples of step dt by h = (k + fr) dt.
 
-    ``v`` holds samples on a grid of step dt (flat or (n, d)). When h is a
-    grid multiple within GRID_RTOL the result is the view v[k:]; otherwise
-    neighbouring samples are blended linearly. Past the span the result is
-    empty.
+    fr is 0 when h is a grid multiple within GRID_RTOL (the one snap rule);
+    m is the length of :func:`shift_values`: the grid points t with t + h
+    in the span.
     """
     pos = h / dt
     k = int(np.floor(pos))
     fr = pos - k
     if abs(fr) <= GRID_RTOL or abs(fr - 1.0) <= GRID_RTOL:
-        return v[round(pos):]
-    m = len(v) - k - 1
-    return (1.0 - fr) * v[k:k + m] + fr * v[k + 1:k + 1 + m]
+        k, fr = round(pos), 0.0
+    return k, fr, max(0, n - k - (fr > 0))
+
+
+def shift_values(v, dt, h, last=None):
+    """Samples of t -> v(t + h) on v's own grid phase, for h >= 0.
+
+    ``v`` holds samples on a grid of step dt (flat or (n, d)). When h is a
+    grid multiple within GRID_RTOL the result is the view v[k:]; otherwise
+    neighbouring samples are blended linearly. Past the span the result is
+    empty. With ``last`` only the final ``last`` samples of that result are
+    formed (all of it when it is shorter), with the same bits.
+    """
+    k, fr, m = shift_offset(len(v), dt, h)
+    i = 0 if last is None else max(0, m - last)
+    if fr == 0:
+        return v[k + i:]
+    return (1.0 - fr) * v[k + i:k + m] + fr * v[k + 1 + i:k + 1 + m]
 
 
 def translate(s: SampledSignal, h: float) -> SampledSignal:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ def test_roots_match_numpy_reference():
         ref = np.sort_complex(np.roots(np.concatenate([[1.0 + 0j], a])))
         scale = (1 + np.max(np.abs(a))) ** n
         assert np.max(np.abs(mine - ref)) <= 1e-7 * scale
+
+
+def test_subnormal_aberth_step_raises_no_warning():
+    # x + (7 + 2.2250738585072014e-308j): the final Aberth correction is
+    # subnormal, and clamping it must not divide by it
+    c = complex(7.0, 2.2250738585072014e-308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = roots_at(const_poly([c]), 0.0)
+    assert np.allclose(r, [-c], rtol=0, atol=1e-12)
 
 
 def test_residual_tolerance_met_on_grid():

@@ -114,6 +114,28 @@ def test_shipped_configs_validate():
         load_config(path)
 
 
+@pytest.mark.parametrize("name", ["classify_rap_sin_log", "map_corom1_periodic",
+                                  "ode_corom1_stationary", "roots_collision"])
+def test_fast_shipped_config_runs_and_passes_its_assertions(name, tmp_path):
+    path = CONFIG_DIR / f"{name}.yaml"
+    code, manifest = run_config(path, output_root=tmp_path)
+    assert code == 0 and manifest["passed"]
+    cfg = load_config(path)
+    if not cfg.get("write_translation_set"):
+        return
+    # the CSV comes from classify's own remote scan; it must equal a fresh one
+    from recurlab.cli import _build_signal, _build_thresholds
+    from recurlab.recurrence import translation_set_remote
+
+    s = _build_signal(cfg["signal"])
+    th = _build_thresholds(cfg["thresholds"])
+    fresh = tmp_path / "fresh_translation_set.csv"
+    cands = th.tau_candidates.clipped(s.span / 4)
+    translation_set_remote(s, th.epsilon_grid[0], cands).write_csv(fresh)
+    written = tmp_path / cfg["output_dir"] / "translation_set.csv"
+    assert written.read_bytes() == fresh.read_bytes()
+
+
 def test_roots_from_manifest(tmp_path):
     import numpy as np
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recurlab.algebra import PolyPath, discriminant_signal, root_bound_check, roots_at, \
     track_branches
@@ -10,9 +10,11 @@ from recurlab.errors import EmptyDomainError
 from recurlab.flows import attraction_time, contraction_modulus
 from recurlab.maps import MapSpec, iterate
 from recurlab.signal import (
+    GRID_RTOL,
     SampledSignal,
     Window,
     d_infinity_estimate,
+    shift_offset,
     shift_values,
     sup_distance,
     tail_sup_distance,
@@ -78,21 +80,29 @@ def test_translate_composition(a, b):
 
 
 @given(st.integers(0, 10_000), st.integers(0, 640), st.floats(min_value=0.0, max_value=1.0),
-       st.booleans())
+       st.booleans(), st.integers(0, 700))
 @settings(max_examples=80, deadline=None)
-def test_scan_shift_is_translate_bit_for_bit(seed, k, frac, on_grid):
+@example(seed=0, k=0, frac=1e-10, on_grid=False, last=0)  # tau inside the snap tolerance
+def test_scan_shift_is_translate_bit_for_bit(seed, k, frac, on_grid, last):
     s = random_signal(seed)
     tau = (k + (0.0 if on_grid else frac)) * s.dt
     sh = shift_values(s.values[:, 0], s.dt, tau)
+    # the tail read is the matching slice of the full shift, bit for bit
+    tail = shift_values(s.values[:, 0], s.dt, tau, last=last)
+    assert tail.tobytes() == sh[max(0, len(sh) - last):].tobytes()
+    assert len(sh) == shift_offset(len(s), s.dt, tau)[2]
     try:
         tr = translate(s, tau)
     except EmptyDomainError:
-        assert len(sh) == 0  # past the span: the scan sees an empty shift
+        assert len(sh) == 0 and len(tail) == 0  # past the span: the scan sees an empty shift
         return
     assert sh.shape == (len(tr),)
     assert sh.tobytes() == tr.values[:, 0].tobytes()
+    # value_at interpolates exactly; the shift snaps tau within GRID_RTOL of the grid
+    pos = tau / s.dt
+    snapped = round(pos) * s.dt if abs(pos - round(pos)) <= GRID_RTOL else tau
     ts = s.t0 + s.dt * np.arange(0, len(sh), 37)
-    expected = [s.value_at(t + tau)[0] for t in ts]
+    expected = [s.value_at(t + snapped)[0] for t in ts]
     assert np.allclose(sh[::37], expected, rtol=0, atol=1e-12)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recurlab.errors import DomainTooShortError, HullNotAPError, WindowTooShortError
+from recurlab.errors import DomainTooShortError, EmptyDomainError, HullNotAPError, \
+    WindowTooShortError
 from recurlab.recurrence import (
     TauSpec,
     Thresholds,
@@ -28,7 +30,7 @@ def drifting_sine(t1=4000.0, dt=0.005):
 
 
 def brute_force_tail_sup(s, tau, L):
-    """Independent oracle: direct tail scan with no bisection machinery."""
+    """Independent oracle: direct tail scan with no tail-profile machinery."""
     sh = translate(s, tau)
     m = min(len(sh), len(s))
     i0 = int(np.ceil(L / s.dt))
@@ -381,10 +383,46 @@ def test_remote_tau_periodicity_passes_to_hull_members():
         assert sup_distance(shifted, m, w) < eps
 
 
-def test_least_tail_threshold_matches_brute_force():
-    s = drifting_sine(t1=2000.0)
-    L = least_tail_threshold(s, TWO_PI, 0.1, min_tail=TWO_PI)
+def assert_least_tail_exact(s, tau, eps, min_tail):
+    """least_tail_threshold is exact at grid resolution, against a direct scan.
+
+    Returns the grid index of L, or None when no admissible L exists: the
+    latest one leaves a tail of min_tail, and it fails too.
+    """
+    L = least_tail_threshold(s, tau, eps, min_tail=min_tail)
+    try:
+        sh = translate(s, tau).values[:, 0]
+    except EmptyDomainError:
+        assert L is None
+        return None
+    d = np.abs(sh - s.values[:len(sh), 0])
+    i_max = len(d) - 1 - max(1, int(np.ceil(min_tail / s.dt)))
+    if i_max < 0 or np.max(d[i_max:]) >= eps:
+        assert L is None
+        return None
     assert L is not None
-    assert brute_force_tail_sup(s, TWO_PI, L) < 0.1
-    if L > 1.0:
-        assert brute_force_tail_sup(s, TWO_PI, L - 1.0) >= 0.1
+    i = round((L - s.t0) / s.dt)
+    assert L == s.t0 + i * s.dt and 0 <= i <= i_max
+    assert np.max(d[i:]) < eps
+    assert i == 0 or np.max(d[i - 1:]) >= eps  # from L - dt the tail fails
+    return i
+
+
+@given(st.integers(0, 10_000), st.one_of(st.integers(115, 137), st.integers(0, 700)),
+       st.floats(min_value=0.0, max_value=1.0), st.booleans(),
+       st.floats(min_value=0.005, max_value=1.0), st.floats(min_value=0.01, max_value=8.0))
+@settings(max_examples=80, deadline=None)
+def test_least_tail_threshold_matches_brute_force(seed, k, frac, on_grid, eps, min_tail):
+    # a slowly drifting sine plus a decaying ripple; tau clusters around the
+    # period 2*pi (k ~ 126 steps) and also runs past the span
+    a, c = np.random.default_rng(seed).uniform(0.0, [1.0, 0.3])
+    s = SampledSignal.from_function(
+        lambda t: np.sin(t + c * np.log1p(t)) + a * np.exp(-t / 5) * np.cos(3.1 * t),
+        0.0, 30.0, 0.05)
+    tau = (k + (0.0 if on_grid else frac)) * s.dt
+    assert_least_tail_exact(s, tau, eps, min_tail)
+
+
+def test_least_tail_threshold_on_the_drifting_sine():
+    i = assert_least_tail_exact(drifting_sine(t1=2000.0), TWO_PI, 0.1, TWO_PI)
+    assert i is not None and i > 0
