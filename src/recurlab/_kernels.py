@@ -40,17 +40,62 @@ def sup_diff_capped(a, b, cap):
 # sliding-window match (minimality / alignment searches)
 # ---------------------------------------------------------------------------
 
-def min_sliding_sup(src, target, offsets, stop_below=0.0):
-    """Minimum over integer offsets of the windowed sup distance.
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def sliding_rms(src, target, n_off):
+    """Lower bound of the RMS of ``src[k:k+nt] - target`` for k < n_off.
+
+    One rfft cross-correlation plus prefix sums of squares give
+    ``ss_k - 2 c_k + tt`` for every offset at once (MASS). Both arrays are
+    centred on the target mean and scaled by a power of two first; a
+    rounding slack for the cancellation, the centring and the final sqrt
+    is subtracted, so each entry is at most the computed
+    ``max|src[k:k+nt] - target|``. A complex signal is the sum of its real
+    and imaginary parts. Requires n_off + len(target) - 1 <= len(src).
+    """
+    nt = len(target)
+    n_src = n_off + nt - 1
+    centre = np.mean(target)
+    x = np.asarray(src)[:n_src] - centre
+    y = np.asarray(target) - centre
+    mag = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+    if not 0.0 < mag < np.inf:
+        return np.zeros(n_off)
+    scale = 2.0 ** -np.frexp(mag)[1]  # exact; every |value| is now < 1
+    x = x * scale
+    y = y * scale
+    parts = [(x.real, y.real), (x.imag, y.imag)] if np.iscomplexobj(x) else [(x, y)]
+    nfft = 1 << (n_src - 1).bit_length()
+    dist = np.zeros(n_off)
+    slack = 1e-290  # underflow of squares and FFT products
+    for xp, yp in parts:
+        sq = np.concatenate(([0.0], np.cumsum(xp * xp)))
+        ss = sq[nt:nt + n_off] - sq[:n_off]
+        tt = float(np.dot(yp, yp))
+        corr = np.fft.irfft(np.fft.rfft(xp, nfft) * np.conj(np.fft.rfft(yp, nfft)), nfft)[:n_off]
+        dist += ss - 2.0 * corr + tt
+        total = float(sq[-1])
+        slack += _U * (4.0 * n_src * total + 2.0 * nt * tt
+                       + 64.0 * (np.log2(nfft) + 1.0) * np.sqrt(total * tt))
+    rms = np.sqrt(np.maximum(dist - slack, 0.0) / nt) - 4.0 * _U
+    return np.maximum(rms, 0.0) * ((1.0 - 64.0 * _U) / scale)
+
+
+def min_sliding_sup(src, target, offsets):
+    """Exact minimum over the given offsets of the windowed sup distance.
 
     ``src`` and ``target`` are flat arrays; every offset k must satisfy
-    k + len(target) <= len(src). Returns (best value, best offset).
+    k + len(target) <= len(src). Returns (min over offsets of
+    ``max|src[k:k+nt] - target|``, the first offset in the given order that
+    attains it); pass ascending offsets for the lowest one. Every offset
+    is an exact evaluation, skipped early only when a probe subset of its
+    window already reaches the best value so far.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     best = np.inf
     best_k = -1
     nt = len(target)
-    # coarse pre-filter on a subsample, then exact sup on survivors
     stride = max(1, nt // 64)
     probe = np.arange(0, nt, stride)
     for k in offsets:
@@ -61,31 +106,25 @@ def min_sliding_sup(src, target, offsets, stop_below=0.0):
         if m < best:
             best = m
             best_k = int(k)
-            if best < stop_below:
-                break
     return float(best), best_k
 
 
 def min_sliding_probe(src, target_sub, offsets, probe):
-    """Sliding minimum evaluated only at the probe indices of the window.
+    """Per-offset sup over the probe columns of the window.
 
-    Returns a lower bound of the windowed sup per offset; used as the
-    coarse stage of alignment searches.
+    Returns an array: entry i is ``max_p |src[offsets[i] + p] - target_sub[j]|``
+    over ``p = probe[j]``. A max over a subset of the window, it is an
+    admissible lower bound of the exact windowed sup at that offset.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     probe = np.asarray(probe, dtype=np.int64)
-    best = np.inf
-    best_k = -1
+    out = np.empty(len(offsets))
     chunk = max(1, int(4_000_000 // max(1, len(probe))))
     for c0 in range(0, len(offsets), chunk):
         off = offsets[c0:c0 + chunk]
         mat = src[off[:, None] + probe[None, :]]
-        vals = np.max(np.abs(mat - target_sub[None, :]), axis=1)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            best_k = int(off[i])
-    return best, best_k
+        out[c0:c0 + chunk] = np.max(np.abs(mat - target_sub[None, :]), axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

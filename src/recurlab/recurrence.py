@@ -499,7 +499,10 @@ def minimality_test(hull: HullSample, eps: float, n_probes: int = 4,
     True is only *consistent with* minimality; False certifies a proper
     closed invariant subset at this resolution (e.g. distinct constants).
 
-    Returns (flag, evidence dict).
+    Returns (flag, evidence dict). A probe's ``worst_min_dist`` is the max
+    over members of the alignment distance, each capped at eps: below eps
+    it is the exact minimum over offsets, otherwise an attained value >= eps
+    that certifies the minimum is >= eps.
     """
     n = len(hull.members)
     if n == 0:
@@ -528,7 +531,7 @@ def minimality_test(hull: HullSample, eps: float, n_probes: int = 4,
             if j == pi:
                 continue
             tgt = _flat(hull.members[j])[:n_cmp]
-            best, _ = _best_alignment(src, tgt, offsets)
+            best, _ = _best_alignment(src, tgt, offsets, eps)
             worst_j = max(worst_j, best)
             if best >= eps:
                 flag = False
@@ -537,29 +540,44 @@ def minimality_test(hull: HullSample, eps: float, n_probes: int = 4,
     return flag, evidence
 
 
-def _best_alignment(src, tgt, offsets, n_probe=768):
-    """min over offsets k of sup_t |src[k+t] - tgt[t]|, two-stage.
+def _best_alignment(src, tgt, offsets, cap):
+    """min over offsets k of sup_t |src[k+t] - tgt[t]|, exact below cap.
 
-    A subsampled probe pass (a lower bound per offset) locates the basin;
-    the exact sup is then minimized over that neighbourhood at unit offset
-    stride. Returns (value, offset); the value is an upper bound of the
-    true minimum attained at the returned offset.
+    Returns (value, offset) with the value attained at the offset. If the
+    minimum is below cap, the value is that exact minimum (ties go to the
+    lowest offset among those evaluated). Otherwise the value is >= cap and
+    the true minimum is certified >= cap, as with sup_diff_capped.
+
+    Every offset gets an admissible lower bound of its sup: the FFT
+    sliding RMS, raised to the sup over probe columns where the RMS is
+    below cap. Exact sups then run in increasing bound order, in growing
+    chunks, until the next bound reaches min(best, cap).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     if len(offsets) == 0:
         return np.inf, -1
     nt = len(tgt)
-    if len(offsets) * nt <= 2_000_000 or nt <= 2 * n_probe:
-        return _kernels.min_sliding_sup(src, tgt, offsets, 0.0)
-    stride = max(1, nt // n_probe)
-    probe = np.arange(0, nt, stride, dtype=np.int64)
-    _, k0 = _kernels.min_sliding_probe(src, np.ascontiguousarray(tgt[probe]), offsets, probe)
-    step = int(offsets[1] - offsets[0]) if len(offsets) > 1 else 1
-    radius = max(2 * step, 64)
-    lo = max(int(offsets[0]), k0 - radius)
-    hi = min(int(offsets[-1]), k0 + radius)
-    fine = np.arange(lo, hi + 1, dtype=np.int64)
-    return _kernels.min_sliding_sup(src, tgt, fine, 0.0)
+    bound = _kernels.sliding_rms(src, tgt, int(offsets.max()) + 1)[offsets]
+    live = np.flatnonzero(bound < cap)
+    if len(live):
+        probe = np.arange(0, nt, max(1, nt // 256), dtype=np.int64)
+        on_probe = _kernels.min_sliding_probe(src, tgt[probe], offsets[live], probe)
+        bound[live] = np.maximum(bound[live], on_probe)
+    order = np.argsort(bound, kind="stable")
+    bound = bound[order]
+    best, best_k = np.inf, -1
+    i, size = 0, 16
+    while i < len(order):
+        bar = min(best, cap)
+        if i and bound[i] >= bar:
+            break
+        n = max(1, int(np.searchsorted(bound[i:i + size], bar)))
+        v, k = _kernels.min_sliding_sup(src, tgt, np.sort(offsets[order[i:i + n]]))
+        if v < best or (v == best and k < best_k):
+            best, best_k = v, k
+        i += n
+        size *= 2
+    return best, best_k
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +592,10 @@ def aap_test(s: SampledSignal, hull: HullSample, eps: float,
     Every hull member must itself pass the AP test at eps (HullNotAP
     otherwise). The residual is the best tail sup distance between s and a
     member slid over the final tail_fraction window; this realizes the
-    decomposition s = p + r with r judged on the tail.
+    decomposition s = p + r with r judged on the tail. Each member's
+    alignment is capped at eps: a residual below eps is the exact minimum
+    over members and offsets; a residual >= eps is attained at the reported
+    member and delta, and every member's minimum is certified >= eps.
 
     Returns (flag, residual, {"member": i, "delta": d}).
     """
@@ -609,20 +630,25 @@ def aap_test(s: SampledSignal, hull: HullSample, eps: float,
         if len(src) < n_tail + 1:
             continue
         offs = offsets[offsets <= len(src) - n_tail]
-        v, k = _best_alignment(src, tail, offs)
+        v, k = _best_alignment(src, tail, offs, eps)
         if v < best[0]:
             best = (v, i, k)
     residual = float(best[0])
     return residual < eps, residual, {"member": int(best[1]), "delta": float(best[2] * dt)}
 
 
-def _disjoint_window_aap_residual(s: SampledSignal):
+def _disjoint_window_aap_residual(s: SampledSignal, eps: float):
     """AAP proxy without an external AP family.
 
     Compares the final window of s against a slid early-mid window of the
     same length; a genuinely asymptotically almost periodic signal matches
     its own past after transients decay, while slow tail drift (the RAP-only
     regime) leaves a residual. Self-overlap is excluded by construction.
+
+    Returns (residual, matched_at). The alignment is capped at eps: a
+    residual below eps is the exact minimum over the slid offsets; a
+    residual >= eps is attained at matched_at and certifies that the
+    minimum is >= eps.
     """
     v = _flat(s)
     n = len(s)
@@ -632,7 +658,7 @@ def _disjoint_window_aap_residual(s: SampledSignal):
     tail = v[n - W:]
     src = v[h0:h0 + slack + W]
     offsets = np.arange(0, slack + 1, dtype=np.int64)
-    res, k = _best_alignment(src, tail, offsets)
+    res, k = _best_alignment(src, tail, offsets, eps)
     return float(res), float((h0 + k) * s.dt + s.t0)
 
 
@@ -734,7 +760,7 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
         rtp_flag, rtp_tau = True, float(th.stationary_taus[0])
 
     aap_eps = th.epsilon_grid[0]
-    residual, match_at = _disjoint_window_aap_residual(s)
+    residual, match_at = _disjoint_window_aap_residual(s, aap_eps)
     evidence["aap"] = {"residual": residual, "matched_at": match_at,
                        "threshold": aap_eps}
     aap_flag = residual < aap_eps

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from recurlab import _kernels
 from recurlab.algebra import PolyPath, discriminant_signal, root_bound_check, roots_at, \
     track_branches
 from recurlab.errors import EmptyDomainError
 from recurlab.flows import attraction_time, contraction_modulus
 from recurlab.maps import MapSpec, iterate
+from recurlab.recurrence import _best_alignment
 from recurlab.signal import (
     GRID_RTOL,
     SampledSignal,
@@ -104,6 +106,58 @@ def test_scan_shift_is_translate_bit_for_bit(seed, k, frac, on_grid, last):
     ts = s.t0 + s.dt * np.arange(0, len(sh), 37)
     expected = [s.value_at(t + snapped)[0] for t in ts]
     assert np.allclose(sh[::37], expected, rtol=0, atol=1e-12)
+
+
+def alignment_case(kind, seed, n, nt, exact):
+    """(src, tgt) where tgt is a window of src, noisy unless exact."""
+    rng = np.random.default_rng(seed)
+    t = 0.05 * np.arange(n)
+    w = rng.uniform(0.2, 3.0)
+    if kind == "zeros":
+        src = np.zeros(n)
+    elif kind == "constant":
+        src = np.full(n, rng.uniform(-5, 5))
+    elif kind == "real":
+        src = random_signal(seed, n=n).values[:, 0]
+    elif kind == "complex":
+        src = np.exp(1j * w * t) + 0.2 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    elif kind in ("mean_1e6", "needle"):
+        src = (1e6 if kind == "mean_1e6" else 0.0) + np.sin(w * t)
+    else:  # exp_tail: normal, subnormal and zero values
+        src = np.exp(-(700.0 + 60.0 * np.arange(n) / n))
+    k0 = int(rng.integers(0, n - nt + 1))
+    tgt = src[k0:k0 + nt].copy()
+    amp = alignment_scale(src)
+    if not exact:
+        tgt = tgt + 0.02 * amp * rng.normal(size=nt)
+    if kind == "needle":
+        # a spike at one column: offsets near k0 get a low bound but a high sup
+        tgt[rng.integers(0, nt)] += 3.0
+    return src, tgt
+
+
+def alignment_scale(src):
+    return max(float(np.max(np.abs(src - np.mean(src)))), 1e-300)
+
+
+@given(st.sampled_from(["real", "complex", "zeros", "constant", "mean_1e6", "exp_tail", "needle"]),
+       st.integers(0, 10_000), st.integers(2, 1200), st.floats(min_value=0.02, max_value=0.98),
+       st.booleans(), st.sampled_from([0.0, 1e-3, 0.05, 0.5, np.inf]))
+@settings(max_examples=150, deadline=None)
+def test_capped_alignment_matches_exhaustive_scan(kind, seed, n, frac, exact, cap_rel):
+    nt = max(1, int(frac * n))
+    src, tgt = alignment_case(kind, seed, n, nt, exact)
+    offsets = np.arange(0, n - nt + 1, dtype=np.int64)
+    sups = np.array([np.max(np.abs(src[k:k + nt] - tgt)) for k in offsets])
+    # the FFT bound is admissible at every offset
+    assert np.all(_kernels.sliding_rms(src, tgt, len(offsets)) <= sups)
+    cap = cap_rel * alignment_scale(src)
+    value, k = _best_alignment(src, tgt, offsets, cap)
+    assert sups[k] == value
+    if sups.min() < cap:
+        assert value == sups.min()
+    else:
+        assert value >= cap and value >= sups.min()
 
 
 @given(st.floats(min_value=0.01, max_value=3.0),

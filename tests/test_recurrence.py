@@ -254,6 +254,26 @@ def test_minimality_singleton_hull():
     assert flag
 
 
+def test_capped_alignment_stops_early_on_a_saturating_chirp(monkeypatch):
+    # every offset's sup lies in [1.9998, 2]; the FFT bound certifies all of
+    # them above the cap, so an exhaustive exact scan must not happen
+    from recurlab import _kernels
+    from recurlab.recurrence import _disjoint_window_aap_residual
+
+    s = SampledSignal.from_function(lambda t: np.sin(0.002 * t * t), 0.0, 4000.0, 0.005)
+    exact = _kernels.min_sliding_sup
+    evaluated = []
+
+    def counting(src, target, offsets):
+        evaluated.append(len(offsets))
+        return exact(src, target, offsets)
+
+    monkeypatch.setattr(_kernels, "min_sliding_sup", counting)
+    residual, _ = _disjoint_window_aap_residual(s, 0.05)
+    assert sum(evaluated) <= 64
+    assert residual >= 0.05
+
+
 # ---------------------------------------------------------------------------
 # AAP
 # ---------------------------------------------------------------------------
