@@ -128,87 +128,45 @@ def min_sliding_probe(src, target_sub, offsets, probe):
 
 
 # ---------------------------------------------------------------------------
-# simultaneous polynomial root iteration (Aberth-Ehrlich + Newton polish)
+# batched polynomial roots (companion-matrix eigenvalues + Newton polish)
 # ---------------------------------------------------------------------------
 
-def _poly_eval_many(a, z):
-    # a: (N, n) tail coefficients, z: (N, n) points; Horner on x^n + sum a_j x^(n-1-j)
-    N, n = a.shape
+def horner(coefs, z):
+    """(p, p') of x^n + a_1 x^(n-1) + ... + a_n at z, row by row.
+
+    ``coefs`` is (N, n) with rows a_1..a_n; ``z`` is (N, m) points.
+    """
     p = np.ones_like(z)
-    for j in range(n):
-        p = p * z + a[:, j][:, None]
-    return p
+    dp = np.zeros_like(z)
+    for j in range(coefs.shape[1]):
+        dp = dp * z + p
+        p = p * z + coefs[:, j][:, None]
+    return p, dp
 
 
-def _aberth_sweep(coefs, z, maxit, tol):
+def aberth_grid(coefs):
+    """Roots of monic polynomials along a coefficient path, (N, n) complex.
+
+    ``coefs[g]`` holds a_1..a_n of x^n + a_1 x^(n-1) + ... + a_n at grid
+    point g. Every point's companion matrix goes through one batched
+    ``np.linalg.eigvals`` call (Edelman & Murakami, Math. Comp. 1995),
+    then two guarded Newton steps polish the roots. Root ORDER per point
+    is arbitrary; callers needing continuity must match. Raises
+    ``np.linalg.LinAlgError`` on non-finite coefficients or when the
+    eigenvalue iteration fails. The Aberth-Ehrlich iteration this replaced
+    gave the function its name, which is kept because outside tracers bind
+    the root-solving layer by it.
+    """
+    coefs = np.ascontiguousarray(coefs, dtype=np.complex128)
     N, n = coefs.shape
-    active = np.ones(N, dtype=bool)
-    for _ in range(maxit):
-        za = z[active]
-        a = coefs[active]
-        p = np.ones_like(za)
-        dp = np.zeros_like(za)
-        for j in range(n):
-            dp = dp * za + p
-            p = p * za + a[:, j][:, None]
-        dp = np.where(dp == 0, 1e-30, dp)
-        w = p / dp
-        if n > 1:
-            diff = za[:, :, None] - za[:, None, :]
-            np.einsum("ijj->ij", diff)[:] = 1.0  # silence the diagonal
-            ssum = np.sum(1.0 / diff, axis=2) - 1.0
-        else:
-            ssum = np.zeros_like(w)
-        denom = 1.0 - w * ssum
-        denom = np.where(denom == 0, 1.0, denom)
-        corr = w / denom
-        cap = 0.5 * (1.0 + np.abs(za))
-        ac = np.abs(corr)
-        # clamp |corr| to cap; dividing by max(|corr|, cap) >= 0.5 cannot overflow
-        corr = corr * (cap / np.maximum(ac, cap))
-        done = np.abs(p) <= tol[active][:, None]
-        corr = np.where(done, 0.0, corr)
-        z[active] = za - corr
-        moved = np.max(np.abs(corr), axis=1)
-        idx = np.where(active)[0]
-        active[idx[moved <= 1e-15]] = False
-        if not active.any():
-            break
-    # Newton polish
+    comp = np.zeros((N, n, n), dtype=np.complex128)
+    comp[:, 0, :] = -coefs
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    z = np.linalg.eigvals(comp)
     for _ in range(2):
-        p = np.ones_like(z)
-        dp = np.zeros_like(z)
-        for j in range(n):
-            dp = dp * z + p
-            p = p * z + coefs[:, j][:, None]
+        p, dp = horner(coefs, z)
         safe = np.abs(dp) > 1e-12 * (1.0 + np.abs(p))
         step = np.where(safe, p / np.where(dp == 0, 1.0, dp), 0.0)
         step = np.where(np.abs(step) < 1.0 + np.abs(z), step, 0.0)
         z = z - step
-    return z
-
-
-def aberth_grid(coefs, seeds, maxit=80, rtol=1e-12):
-    """Roots of monic polynomials along a coefficient path.
-
-    ``coefs[g]`` holds a_1..a_n of x^n + a_1 x^(n-1) + ... + a_n at grid
-    point g; every point is iterated in one batch from the seed circle,
-    and points whose residual misses the gate are re-seeded on a circle
-    of radius 1 + max(1, max_j |a_j|) and iterated again. Root ORDER per
-    point is arbitrary; callers needing continuity must match.
-    """
-    coefs = np.ascontiguousarray(coefs, dtype=np.complex128)
-    seeds = np.ascontiguousarray(seeds, dtype=np.complex128)
-    N, n = coefs.shape
-    z = np.tile(seeds, (N, 1)).astype(np.complex128)
-    scale = np.maximum(1.0, np.max(np.abs(coefs), axis=1))
-    tol = rtol * (1.0 + scale) ** n
-    z = _aberth_sweep(coefs, z, maxit, tol)
-    res = _poly_eval_many(coefs, z)
-    bad = np.max(np.abs(res), axis=1) > tol
-    if bad.any():
-        radius = (1.0 + scale[bad])[:, None]
-        angles = 2 * np.pi * (np.arange(n) + 0.375) / n
-        zb = radius * np.exp(1j * angles)[None, :]
-        z[bad] = _aberth_sweep(coefs[bad], zb.astype(np.complex128), 4 * maxit, tol[bad])
     return z

@@ -1,13 +1,15 @@
 """Time-varying monic polynomial equations: roots, discriminant, branches.
 
 x^n + a_1(t) x^(n-1) + ... + a_n(t) = 0 with complex coefficient paths.
-Roots come from simultaneous Aberth-Ehrlich iteration (seeded on the
-circle of radius 1 + max|a_i|, Newton-polished, warm-started along the
-grid); continuous branches from optimal assignment between consecutive
-root multisets. Near discriminant zeros the step guard refuses to
-fabricate branches and reports the offending interval instead.
+Roots come from the eigenvalues of each grid point's companion matrix,
+Newton-polished and checked against a residual gate; every point is
+solved independently. Continuous branches come from optimal assignment
+between consecutive root multisets. Near discriminant zeros the step
+guard refuses to fabricate branches and reports the offending interval
+instead.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -55,8 +57,14 @@ class PolyPath:
         return self.grid.times()
 
     def coef_matrix(self):
-        """(N, n) complex matrix of a_1..a_n along the grid."""
-        return np.column_stack([c.values[:, 0].astype(np.complex128) for c in self.coeffs])
+        """(N, n) complex matrix of a_1..a_n along the grid; built once, read-only."""
+        return self._coef_matrix
+
+    @functools.cached_property
+    def _coef_matrix(self):
+        m = np.column_stack([c.values[:, 0].astype(np.complex128) for c in self.coeffs])
+        m.flags.writeable = False
+        return m
 
     def coef_at(self, t):
         return np.array([c.value_at(t)[0] for c in self.coeffs], dtype=np.complex128)
@@ -119,48 +127,31 @@ class PolyPath:
             fh.write("\n")
 
 
-def _poly_residuals(coefs, roots):
-    # coefs (N, n), roots (N, n); Horner on monic polynomials
-    p = np.ones_like(roots)
-    for j in range(coefs.shape[1]):
-        p = p * roots + coefs[:, j][:, None]
-    return np.abs(p)
-
-
-def _seed_circle(coef_row):
-    n = len(coef_row)
-    radius = 1.0 + float(np.max(np.abs(coef_row)))
-    angles = 2 * np.pi * (np.arange(n) + 0.375) / n
-    return radius * np.exp(1j * angles)
-
-
-def roots_grid(p: PolyPath):
-    """All roots along the grid, (N, n) complex; order per point is arbitrary."""
-    coefs = p.coef_matrix()
-    roots = _kernels.aberth_grid(coefs, _seed_circle(coefs[0]))
-    res = _poly_residuals(coefs, roots)
-    scale = RESIDUAL_RTOL * (1.0 + np.max(np.abs(coefs), axis=1)) ** p.degree
+def _gated_roots(coefs, where=""):
+    """Roots of every coefficient row, refused unless each passes the residual gate."""
+    try:
+        roots = _kernels.aberth_grid(coefs)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"companion eigenvalues failed{where}: {exc}") from exc
+    res = np.abs(_kernels.horner(coefs, roots)[0])
+    scale = RESIDUAL_RTOL * (1.0 + np.max(np.abs(coefs), axis=1)) ** coefs.shape[1]
     worst = float(np.max(res / scale[:, None]))
-    if worst > 1.0:
+    if not worst <= 1.0:
         raise NonConvergenceError(
-            f"root iteration above residual tolerance (worst ratio {worst:.3g})",
+            f"roots above residual tolerance{where} (worst ratio {worst:.3g})",
             worst_residual=float(np.max(res)),
         )
     return roots
 
 
+def roots_grid(p: PolyPath):
+    """All roots along the grid, (N, n) complex; order per point is arbitrary."""
+    return _gated_roots(p.coef_matrix())
+
+
 def roots_at(p: PolyPath, t) -> np.ndarray:
     """The n roots (with multiplicity) of the time-t polynomial."""
-    coefs = p.coef_at(t)[None, :]
-    roots = _kernels.aberth_grid(coefs, _seed_circle(coefs[0]))
-    res = _poly_residuals(coefs, roots)
-    tol = RESIDUAL_RTOL * (1.0 + np.max(np.abs(coefs))) ** p.degree
-    if np.max(res) > tol:
-        raise NonConvergenceError(
-            f"root iteration above residual tolerance at t={t}",
-            worst_residual=float(np.max(res)),
-        )
-    return roots[0]
+    return _gated_roots(p.coef_at(t)[None, :], f" at t={t}")[0]
 
 
 def discriminant_from_roots(roots):
@@ -207,6 +198,16 @@ class RootBranches:
         return np.column_stack([b.values[:, 0] for b in self.branches])
 
 
+def _pairwise_separation(roots):
+    """Per-row min over pairs i < j of |root_i - root_j|; inf below two roots."""
+    n = roots.shape[1]
+    sep = np.full(roots.shape[0], np.inf)
+    for i in range(n):
+        for j in range(i + 1, n):
+            sep = np.minimum(sep, np.abs(roots[:, i] - roots[:, j]))
+    return sep
+
+
 def _match_small_degree(raw, perms):
     """Per-step optimal assignment raw[k-1] -> raw[k], vectorized over the grid.
 
@@ -246,9 +247,8 @@ def track_branches(p: PolyPath) -> RootBranches:
     N = raw.shape[0]
 
     if n == 1:
-        tracked = raw.copy()
+        tracked = raw
         match_log = np.zeros(N, dtype=np.int16)
-        sep_min = np.inf
     elif n <= 6:
         perms = list(itertools.permutations(range(n)))
         tracked, steps = _match_small_degree(raw, perms)
@@ -265,20 +265,16 @@ def track_branches(p: PolyPath) -> RootBranches:
             _, ci = linear_sum_assignment(cost)
             tracked[k] = raw[k][ci]
 
+    coefs = p.coef_matrix()
+    disc_sig = discriminant_signal(p, roots=tracked)
+    sep = _pairwise_separation(tracked)
     # step guard: motion vs current separation, plus the |D| floor
-    diffs = np.abs(np.diff(tracked, axis=0))
-    motion = diffs.max(axis=1) if N > 1 else np.zeros(0)
     if n >= 2:
-        sep = np.full(N, np.inf)
-        for i in range(n):
-            for j in range(i + 1, n):
-                sep = np.minimum(sep, np.abs(tracked[:, i] - tracked[:, j]))
-        sep_min = float(np.min(sep))
-        disc = discriminant_from_roots(tracked)
-        scale = (1.0 + np.max(np.abs(p.coef_matrix()))) ** (n * (n - 1))
+        motion = np.abs(np.diff(tracked, axis=0)).max(axis=1)
+        scale = (1.0 + np.max(np.abs(coefs))) ** (n * (n - 1))
         bad = np.zeros(N, dtype=bool)
         bad[:N - 1] |= motion >= 0.5 * sep[:N - 1]
-        bad |= np.abs(disc) < COLLISION_ABS_D * scale
+        bad |= np.abs(disc_sig.values[:, 0]) < COLLISION_ABS_D * scale
         if bad.any():
             ts = p.times()
             first = int(np.argmax(bad))
@@ -289,23 +285,19 @@ def track_branches(p: PolyPath) -> RootBranches:
                 f"branch collision near t in [{ts[first]:.6g}, {ts[min(last + 1, N - 1)]:.6g}]",
                 interval=(float(ts[first]), float(ts[min(last + 1, N - 1)])),
             )
-    else:
-        sep_min = np.inf
 
-    coefs = p.coef_matrix()
-    res = _poly_residuals(coefs, tracked)
+    res = np.abs(_kernels.horner(coefs, tracked)[0])
     g = p.grid
     branches = [
         SampledSignal(t0=g.t0, dt=g.dt, values=tracked[:, i].astype(np.complex128),
                       label=f"branch{i}:{p.label}")
         for i in range(n)
     ]
-    disc_sig = discriminant_signal(p, roots=tracked)
     return RootBranches(
         branches=branches,
         residual_max=float(np.max(res)),
         discriminant=disc_sig,
-        separation_min=sep_min,
+        separation_min=float(np.min(sep)),
         matching_log=match_log,
     )
 
@@ -322,17 +314,16 @@ def separation_certificate(rb: RootBranches, alpha_claim: float):
     """Verify min pairwise branch separation >= alpha_claim.
 
     Returns (flag, argmin time, separation_min, inf |D|) so the discriminant
-    hypothesis |D(t)| >= alpha can be checked alongside.
+    hypothesis |D(t)| >= alpha can be checked alongside. Below degree 2
+    there is no pair: the flag holds vacuously and the argmin time and
+    separation_min are None.
     """
-    bm = rb.branch_matrix()
-    n = bm.shape[1]
-    sep = np.full(bm.shape[0], np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sep = np.minimum(sep, np.abs(bm[:, i] - bm[:, j]))
+    inf_d = float(np.min(np.abs(rb.discriminant.values[:, 0])))
+    if rb.degree < 2:
+        return True, None, None, inf_d
+    sep = _pairwise_separation(rb.branch_matrix())
     k = int(np.argmin(sep))
     ts = rb.discriminant.times()
-    inf_d = float(np.min(np.abs(rb.discriminant.values[:, 0])))
     return bool(sep[k] >= alpha_claim), float(ts[k]), float(sep[k]), inf_d
 
 

@@ -58,7 +58,7 @@ class NonFiniteValueError(RecurlabError):
 
 
 class NonConvergenceError(RecurlabError):
-    """Root iteration failed to reach residual tolerance."""
+    """Root solve failed: the eigenvalue solver or the residual gate refused it."""
 
     def __init__(self, message, worst_residual=None):
         super().__init__(message)

@@ -15,7 +15,7 @@ from recurlab.algebra import (
     track_branches,
     zhikov_pipeline,
 )
-from recurlab.errors import BranchCollisionError
+from recurlab.errors import BranchCollisionError, NonConvergenceError
 from recurlab.recurrence import TauSpec, Thresholds
 from recurlab.signal import SampledSignal
 
@@ -56,16 +56,46 @@ def test_roots_match_numpy_reference():
         ref = np.sort_complex(np.roots(np.concatenate([[1.0 + 0j], a])))
         scale = (1 + np.max(np.abs(a))) ** n
         assert np.max(np.abs(mine - ref)) <= 1e-7 * scale
+    # np.roots is itself a companion-eigenvalue solver, so also check known
+    # roots: magnitudes 1e-2..1e2 mixed in one polynomial, one pair 1e-6 apart
+    from scipy.optimize import linear_sum_assignment
+
+    for _ in range(120):
+        n = int(rng.integers(2, 9))
+        known = 10.0 ** rng.uniform(-2, 2, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        known[1] = known[0] * (1 + 1e-6 * np.exp(2j * np.pi * rng.uniform()))
+        got = roots_at(const_poly(list(np.poly(known)[1:])), 0.0)
+        dist = np.abs(got[:, None] - known[None, :])
+        gi, ki = linear_sum_assignment(dist)
+        # a residual of RESIDUAL_RTOL times the size of the polynomial's
+        # terms at root k, sum_j |e_j| |r_k|^(n-j) <= prod_i (|r_k| + |r_i|),
+        # moves root k by at most that over |P'(r_k)| = prod_{i!=k} |r_k - r_i|
+        # to first order; the same bound covers the rounding of np.poly
+        terms = np.abs(known)[:, None] + np.abs(known)[None, :]
+        gaps = np.abs(known[:, None] - known[None, :])
+        np.fill_diagonal(gaps, 1.0)
+        tol = RESIDUAL_RTOL * np.prod(terms / gaps, axis=1)
+        assert np.all(dist[gi, ki] <= tol[ki])
 
 
 def test_subnormal_aberth_step_raises_no_warning():
-    # x + (7 + 2.2250738585072014e-308j): the final Aberth correction is
-    # subnormal, and clamping it must not divide by it
+    # x + (7 + 2.2250738585072014e-308j): the coefficient, the root and the
+    # Newton step carry a subnormal imaginary part, which no guard may
+    # divide by
     c = complex(7.0, 2.2250738585072014e-308)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         r = roots_at(const_poly([c]), 0.0)
     assert np.allclose(r, [-c], rtol=0, atol=1e-12)
+
+
+def test_gate_that_overflows_refuses():
+    # x^3 + 1e200 x^2 - 1e200 x + 3: the residual and its scale both
+    # overflow, so the gate ratio is NaN and cannot certify the roots
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NonConvergenceError):
+            roots_at(const_poly([1e200, -1e200, 3.0]), 0.0)
 
 
 def test_residual_tolerance_met_on_grid():
@@ -176,6 +206,24 @@ def test_vieta_reconstruction():
         deg += 1
     a = p.coef_matrix()
     assert np.max(np.abs(coef[:, 1:] - a)) <= 3 * 1e-10 * (1 + np.max(np.abs(a))) ** 3
+
+
+def test_degree_seven_branches_by_assignment():
+    # x^7 - f(t), f = 0.5 + 0.125 sin t: branch k is f^(1/7) w_k for a
+    # fixed seventh root of unity w_k; degree >= 7 is matched by assignment
+    p = PolyPath.from_functions(
+        [lambda t: 0 * t] * 6 + [lambda t: -(0.5 + 0.125 * np.sin(t)).astype(complex)],
+        0.0, 20.0, 0.01)
+    rb = track_branches(p)
+    bm = rb.branch_matrix()
+    f = 0.5 + 0.125 * np.sin(rb.branches[0].times())
+    unit = np.exp(2j * np.pi * np.arange(7) / 7)
+    order = np.lexsort((unit.imag.round(9), unit.real.round(9)))
+    expected = f[:, None] ** (1 / 7) * unit[order][None, :]
+    assert np.max(np.abs(bm - expected)) < 1e-12
+    motion = np.max(np.abs(np.diff(bm, axis=0)))
+    assert motion < 1e-3 < 0.5 * rb.separation_min
+    assert rb.residual_max <= RESIDUAL_RTOL * (1 + 0.625) ** 7
 
 
 def test_branch_collision_on_double_root_path():

@@ -159,6 +159,28 @@ def test_roots_from_manifest(tmp_path):
     assert code == 0
 
 
+def test_degree_one_roots_report_is_strict_json(tmp_path):
+    # one root has no pair: the separation claim holds vacuously, and the
+    # report must not carry Infinity or a made-up argmin time
+    cfg = {
+        "schema": 1, "kind": "roots", "seed": 0, "output_dir": "out/linear",
+        "span": 20.0, "dt": 0.01, "alpha_claim": 1.0,
+        "coefficients": [{"forcing": "sin", "offset": 2.0}],
+    }
+    code, _ = run_config(write_cfg(tmp_path, cfg, name="linear.yaml"), output_root=tmp_path)
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    text = (tmp_path / "out/linear/report.json").read_text()
+    report = json.loads(text, parse_constant=refuse)
+    assert report["degree"] == 1
+    assert report["separation_min"] is None
+    assert report["separation_argmin_t"] is None
+    assert report["separation_ok"] is True
+
+
 def test_catalog_ids_roundtrip_through_run(tmp_path):
     # every catalog id is runnable with a miniature config, no ConfigError
     from recurlab.catalog import FORCING_CATALOG, MAP_CATALOG, RHS_CATALOG
