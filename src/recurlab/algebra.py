@@ -188,7 +188,6 @@ class RootBranches:
     residual_max: float
     discriminant: SampledSignal
     separation_min: float
-    matching_log: np.ndarray    # permutation applied at each grid step
 
     @property
     def degree(self):
@@ -208,62 +207,75 @@ def _pairwise_separation(roots):
     return sep
 
 
+def _prefix_compose(q):
+    """Compose an (N, n) table of index maps along its rows, in place.
+
+    Row k ends as s_k[s_(k-1)[... s_0]] with s_k the input rows, which is
+    what the loop `q[k] = q[k][q[k-1]]` for k = 1..N-1 leaves. The doubling
+    scan (Hillis & Steele, CACM 1986) does it in log2(N) gathers over the
+    whole table; integer composition is exact, so the result is too.
+    """
+    d = 1
+    while d < len(q):
+        q[d:] = np.take_along_axis(q[d:], q[:-d], axis=1)
+        d *= 2
+    return q
+
+
+def _compose_branches(raw, steps):
+    """Branch matrix where root raw[k-1][i] continues as raw[k][steps[k-1][i]].
+
+    Branches start in canonical order: the raw[0] roots sorted by real
+    part, then imaginary part.
+    """
+    q = np.empty(raw.shape, dtype=np.intp)
+    q[0] = np.lexsort((raw[0].imag.round(12), raw[0].real.round(12)))
+    q[1:] = steps
+    return np.take_along_axis(raw, _prefix_compose(q), axis=1)
+
+
 def _match_small_degree(raw, perms):
-    """Per-step optimal assignment raw[k-1] -> raw[k], vectorized over the grid.
+    """Branch matrix by per-step optimal assignment raw[k-1] -> raw[k], vectorized.
 
     The step assignment is independent of the accumulated branch labels, so
-    the (N-1, n!) cost table is computed in one pass; tracking composes the
-    winning permutations. Ties keep the lexicographically first permutation.
+    the (N-1, n!) squared-distance cost table is computed in one pass and
+    its argmin picks each step's permutation; ties keep the
+    lexicographically first. `_compose_branches` composes the steps.
     """
-    N, n = raw.shape
-    perms_arr = np.array(perms, dtype=np.int64)
-    costs = np.empty((N - 1, len(perms)))
+    perms_arr = np.array(perms, dtype=np.intp)
+    costs = np.empty((raw.shape[0] - 1, len(perms)))
     prev = raw[:-1]
     cur = raw[1:]
     for pi, pm in enumerate(perms_arr):
         costs[:, pi] = np.sum(np.abs(cur[:, pm] - prev) ** 2, axis=1)
-    choice = np.argmin(costs, axis=1)
-    tracked = np.empty_like(raw)
-    order0 = np.lexsort((raw[0].imag.round(12), raw[0].real.round(12)))
-    q = np.asarray(order0, dtype=np.int64)
-    tracked[0] = raw[0][q]
-    for k in range(1, N):
-        q = perms_arr[choice[k - 1]][q]
-        tracked[k] = raw[k][q]
-    return tracked, choice.astype(np.int16)
+    return _compose_branches(raw, perms_arr[np.argmin(costs, axis=1)])
 
 
 def track_branches(p: PolyPath) -> RootBranches:
     """Continuous root branches by per-step optimal assignment.
 
-    Branch order is canonical: the t0 roots sorted by real part, then
-    imaginary part. Raises BranchCollision with the offending interval when
-    per-step motion reaches half the current minimum separation or |D|
-    falls below the collision floor; branches are never fabricated across
-    such an interval.
+    Each step matches the roots at t_(k-1) to those at t_k: up to degree 6
+    by the least total squared distance over all n! permutations, above
+    that by `linear_sum_assignment` on the absolute distances. The step
+    maps are then composed along the grid by a prefix scan. Branch order
+    is canonical: the t0 roots sorted by real part, then imaginary part.
+    Raises BranchCollision with the offending interval when per-step
+    motion reaches half the current minimum separation or |D| falls below
+    the collision floor; branches are never fabricated across such an
+    interval.
     """
     n = p.degree
     raw = roots_grid(p)
     N = raw.shape[0]
 
-    if n == 1:
-        tracked = raw
-        match_log = np.zeros(N, dtype=np.int16)
-    elif n <= 6:
-        perms = list(itertools.permutations(range(n)))
-        tracked, steps = _match_small_degree(raw, perms)
-        match_log = np.concatenate([[0], steps]).astype(np.int16)
+    if n <= 6:
+        tracked = _match_small_degree(raw, list(itertools.permutations(range(n))))
     else:
         from scipy.optimize import linear_sum_assignment
 
-        tracked = np.empty_like(raw)
-        order0 = np.lexsort((raw[0].imag.round(12), raw[0].real.round(12)))
-        tracked[0] = raw[0][order0]
-        match_log = np.zeros(N, dtype=np.int16)
-        for k in range(1, N):
-            cost = np.abs(raw[k][None, :] - tracked[k - 1][:, None])
-            _, ci = linear_sum_assignment(cost)
-            tracked[k] = raw[k][ci]
+        steps = [linear_sum_assignment(np.abs(raw[k][None, :] - raw[k - 1][:, None]))[1]
+                 for k in range(1, N)]
+        tracked = _compose_branches(raw, np.array(steps, dtype=np.intp).reshape(N - 1, n))
 
     coefs = p.coef_matrix()
     disc_sig = discriminant_signal(p, roots=tracked)
@@ -298,7 +310,6 @@ def track_branches(p: PolyPath) -> RootBranches:
         residual_max=float(np.max(res)),
         discriminant=disc_sig,
         separation_min=float(np.min(sep)),
-        matching_log=match_log,
     )
 
 

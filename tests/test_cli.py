@@ -117,7 +117,7 @@ def test_shipped_configs_validate():
 @pytest.mark.parametrize("name", ["classify_rap_sin_log", "map_corom1_periodic",
                                   "ode_attraction", "ode_condition_h",
                                   "ode_corom1_stationary", "roots_collision",
-                                  "roots_separated_quadratic"])
+                                  "roots_rap_quadratic", "roots_separated_quadratic"])
 def test_fast_shipped_config_runs_and_passes_its_assertions(name, tmp_path):
     path = CONFIG_DIR / f"{name}.yaml"
     code, manifest = run_config(path, output_root=tmp_path)

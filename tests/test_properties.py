@@ -1,26 +1,33 @@
 """Property-based checks of the module invariants."""
 
+import itertools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from recurlab import _kernels
-from recurlab.algebra import PolyPath, discriminant_signal, root_bound_check, roots_at, \
-    track_branches
+from recurlab.algebra import PolyPath, _match_small_degree, _prefix_compose, discriminant_signal, \
+    root_bound_check, roots_at, track_branches
 from recurlab.errors import EmptyDomainError
 from recurlab.flows import attraction_time, contraction_modulus
 from recurlab.maps import MapSpec, iterate
 from recurlab.recurrence import _best_alignment
 from recurlab.signal import (
+    CSV_BLOCK_ROWS,
     GRID_RTOL,
     SampledSignal,
     Window,
     d_infinity_estimate,
+    read_signal_csv,
     shift_offset,
     shift_values,
     sup_distance,
     tail_sup_distance,
     translate,
+    write_signal_csv,
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -235,3 +242,81 @@ def test_branch_tracking_deterministic(seed):
     assert np.array_equal(rb1.branch_matrix(), rb2.branch_matrix())
     ok, _ = root_bound_check(rb1, p)
     assert ok
+
+
+CSV_EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-300, 1.0, -3.0,
+                            2.0 ** 53])
+
+
+def csv_values(rng, shape):
+    """Edge values, integers and doubles of every magnitude, mixed per entry."""
+    pool = np.stack([
+        rng.choice(CSV_EDGE_VALUES, size=shape),
+        rng.integers(-10 ** 6, 10 ** 6, size=shape).astype(float),
+        rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape),
+    ])
+    return np.take_along_axis(pool, rng.integers(0, 3, size=(1,) + shape), axis=0)[0]
+
+
+def savetxt_oracle(s, path):
+    """The signal CSV as `np.savetxt` writes it, row by row."""
+    if s.is_complex():
+        cols = np.empty((len(s), 2 * s.dim))
+        cols[:, 0::2] = s.values.real
+        cols[:, 1::2] = s.values.imag
+        header = ",".join(f"v{j}_re,v{j}_im" for j in range(s.dim))
+    else:
+        cols = s.values
+        header = ",".join(f"v{j}" for j in range(s.dim))
+    data = np.column_stack([s.times(), cols])
+    np.savetxt(path, data, delimiter=",", header="t," + header, comments="", fmt="%.17g")
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.integers(1, 3),
+       st.sampled_from([1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                        2 * CSV_BLOCK_ROWS + 1]),
+       st.sampled_from([(0.0, 0.01), (-2.5, 0.5), (1000.0, 1.0)]))
+@settings(max_examples=40, deadline=None)
+def test_signal_csv_bytes_match_savetxt_and_round_trip(seed, cplx, d, n, grid):
+    vals = csv_values(np.random.default_rng(seed), (n, d, 2) if cplx else (n, d))
+    if cplx:
+        vals = np.ascontiguousarray(vals).view(np.complex128)[..., 0]
+    s = SampledSignal(t0=grid[0], dt=grid[1], values=vals, label="edge")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, oracle = Path(tmp) / "sig.csv", Path(tmp) / "oracle.csv"
+        write_signal_csv(s, path)
+        savetxt_oracle(s, oracle)
+        assert path.read_bytes() == oracle.read_bytes()
+        if n < 2:
+            return  # a grid needs two samples to load
+        back = read_signal_csv(path)
+    assert back.t0 == s.t0 and back.label == "edge"
+    assert back.values.dtype == s.values.dtype
+    assert back.values.tobytes() == s.values.tobytes()  # bit for bit, zero signs included
+
+
+def compose_loop(q):
+    """Reference: compose the index maps row after row."""
+    out = q.copy()
+    for k in range(1, len(out)):
+        out[k] = out[k][out[k - 1]]
+    return out
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 4, 7]),
+       st.sampled_from(sorted({1, 2, 3} | {2 ** k + e for k in range(1, 11) for e in (-1, 1)})))
+@settings(max_examples=80, deadline=None)
+def test_prefix_compose_matches_sequential_loop(seed, n, N):
+    rng = np.random.default_rng(seed)
+    q = rng.permuted(np.tile(np.arange(n, dtype=np.intp), (N, 1)), axis=1)
+    assert np.array_equal(_prefix_compose(q.copy()), compose_loop(q))
+
+
+def test_small_degree_branches_undo_shuffled_roots():
+    # roots of x^3 - e^(0.03it) reshuffled at every step: each branch must stay on its root
+    base = np.exp(2j * np.pi * np.arange(3) / 3)
+    roots = base[None, :] * np.exp(0.01j * np.arange(50))[:, None]
+    perms = list(itertools.permutations(range(3)))
+    shuffle = np.array(perms)[np.random.default_rng(3).integers(0, 6, 50)]
+    tracked = _match_small_degree(np.take_along_axis(roots, shuffle, axis=1), perms)
+    assert np.array_equal(tracked, roots[:, np.lexsort((base.imag.round(12), base.real.round(12)))])
