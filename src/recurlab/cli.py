@@ -76,24 +76,38 @@ def _build_signal(spec):
     raise ConfigError("signal needs `file` or `forcing`", key="signal")
 
 
+def _check_keys(spec, allowed, block):
+    """ConfigError naming the first key of ``spec`` outside ``allowed``."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in `{block}` (accepted: "
+                          f"{', '.join(allowed)})", key=unknown[0])
+
+
+def _build_tau(tau, **defaults):
+    """TauSpec from a `tau` block over ``defaults``; a key without a default is required."""
+    _check_keys(tau, ("lo", "hi", "step", "refine"), "tau")
+    tau = {"refine": True, **defaults, **tau}
+    return TauSpec(float(tau["lo"]), float(tau["hi"]), float(tau["step"]), bool(tau["refine"]))
+
+
+_SCALAR_THRESHOLDS = ("gap_bound_factor", "range_bound", "equicontinuity_bound")
+
+
 def _build_thresholds(spec):
-    tau = spec.get("tau", {})
-    cands = TauSpec(
-        lo=float(tau.get("lo", np.pi / 2)),
-        hi=float(tau.get("hi", 400.0)),
-        step=float(tau.get("step", np.pi / 2)),
-        refine=bool(tau.get("refine", True)),
-        explicit=tuple(tau["explicit"]) if "explicit" in tau else None,
-    )
-    kwargs = {}
-    for key in ("cluster_tol", "tail_fraction", "gap_bound_factor",
-                "range_bound", "equicontinuity_bound"):
-        if key in spec:
-            kwargs[key] = float(spec[key])
+    _check_keys(spec, ("epsilon_grid", "tau", "stationary_taus") + _SCALAR_THRESHOLDS, "thresholds")
+    kwargs = {key: float(spec[key]) for key in _SCALAR_THRESHOLDS if key in spec}
     if "stationary_taus" in spec:
         kwargs["stationary_taus"] = tuple(float(x) for x in spec["stationary_taus"])
+    cands = _build_tau(spec.get("tau", {}), lo=np.pi / 2, hi=400.0, step=np.pi / 2)
     return Thresholds(epsilon_grid=tuple(float(e) for e in spec["epsilon_grid"]),
                       tau_candidates=cands, **kwargs)
+
+
+def _classify_after_burn_in(sol, sub):
+    """classify's report dict for sol from the `classify` block's burn_in on."""
+    seg = sol.restrict(Window(float(sub.get("burn_in", 0.0)), sol.t_end))
+    return classify(seg, _build_thresholds(sub["thresholds"])).to_dict()
 
 
 def _build_rhs(cfg):
@@ -147,10 +161,7 @@ def _run_omega(cfg, outdir):
     }
     if "equi_ap" in cfg:
         e = cfg["equi_ap"]
-        tau = e.get("tau", {})
-        cands = TauSpec(lo=float(tau.get("lo", 2 * np.pi)), hi=float(tau["hi"]),
-                        step=float(tau.get("step", 2 * np.pi)),
-                        refine=bool(tau.get("refine", True)))
+        cands = _build_tau(e.get("tau", {}), lo=2 * np.pi, step=2 * np.pi)
         flag, ts = equi_ap_test(hull, float(e["eps"]), cands,
                                 float(e.get("gap_bound_factor", 3.0)))
         report["equi_ap"] = {"flag": bool(flag), "max_gap": ts.max_gap,
@@ -183,17 +194,15 @@ def _run_ode(cfg, outdir):
     artifacts = [sol_path]
 
     if "classify" in cfg:
-        sub = cfg["classify"]
-        seg = sol.restrict(Window(float(sub.get("burn_in", 0.0)), sol.t_end))
-        th = _build_thresholds(sub["thresholds"])
-        report["flows"] = {"classification": classify(seg, th).to_dict()}
+        report["flows"] = {"classification": _classify_after_burn_in(sol, cfg["classify"])}
+    cond_h = None
     if "condition_h" in cfg:
         hc = cfg["condition_h"]
-        p = ConditionHParams(kappa=float(hc["kappa"]), alpha=float(hc["alpha"]),
-                             sample_box=(tuple(np.atleast_1d(hc["box_lo"]).astype(float)),
-                                         tuple(np.atleast_1d(hc["box_hi"]).astype(float))),
-                             n_pairs=int(hc.get("n_pairs", 10000)))
-        report["condition_h_margin"] = condition_h_margin(rhs, p, hc.get("t_samples", [0.0]),
+        cond_h = ConditionHParams(kappa=float(hc["kappa"]), alpha=float(hc["alpha"]),
+                                  sample_box=(tuple(np.atleast_1d(hc["box_lo"]).astype(float)),
+                                              tuple(np.atleast_1d(hc["box_hi"]).astype(float))),
+                                  n_pairs=int(hc.get("n_pairs", 10000)))
+        report["condition_h_margin"] = condition_h_margin(rhs, cond_h, hc.get("t_samples", [0.0]),
                                                           seed=int(cfg.get("seed", 0)))
     if "fiber" in cfg:
         from .flows import default_burn_in
@@ -208,13 +217,9 @@ def _run_ode(cfg, outdir):
         cluster_tol = float(fb["cluster_tol"])
         if "burn_in" in fb:
             burn = float(fb["burn_in"])
-        elif "condition_h" in cfg:
+        elif cond_h is not None:
             # Condition (H) gives the attraction time from the box diameter
-            hc = cfg["condition_h"]
-            hp = ConditionHParams(kappa=float(hc["kappa"]), alpha=float(hc["alpha"]),
-                                  sample_box=(tuple(np.atleast_1d(hc["box_lo"]).astype(float)),
-                                              tuple(np.atleast_1d(hc["box_hi"]).astype(float))))
-            burn = default_burn_in(hp, cluster_tol)
+            burn = default_burn_in(cond_h, cluster_tol)
         else:
             raise ConfigError("fiber needs burn_in (or condition_h for the default)",
                               key="burn_in")
@@ -264,10 +269,7 @@ def _run_dde(cfg, outdir):
     ok, ev = precompactness_proxy(u)
     report = {"n_samples": len(u), "dt": u.dt, "precompact_proxy": bool(ok), **ev}
     if "classify" in cfg:
-        sub = cfg["classify"]
-        seg = u.restrict(Window(float(sub.get("burn_in", 0.0)), u.t_end))
-        th = _build_thresholds(sub["thresholds"])
-        report["classification"] = classify(seg, th).to_dict()
+        report["classification"] = _classify_after_burn_in(u, cfg["classify"])
     return report, [path]
 
 
@@ -294,10 +296,7 @@ def _run_map(cfg, outdir):
                                   float(fb["cluster_tol"]))
         report["maps"] = {"fiber": fr.to_dict()}
     if "classify" in cfg:
-        sub = cfg["classify"]
-        seg = sol.restrict(Window(float(sub.get("burn_in", 0)), sol.t_end))
-        th = _build_thresholds(sub["thresholds"])
-        report["classification"] = classify(seg, th).to_dict()
+        report["classification"] = _classify_after_burn_in(sol, cfg["classify"])
     return report, [path]
 
 
@@ -473,7 +472,11 @@ def run_config(path, output_root=None):
     outdir.mkdir(parents=True, exist_ok=True)
 
     started = time.time()
-    report, artifacts = _RUNNERS[cfg["kind"]](cfg, outdir)
+    try:
+        report, artifacts = _RUNNERS[cfg["kind"]](cfg, outdir)
+    except KeyError as exc:  # a required nested key is missing
+        key = next(iter(exc.args), None)
+        raise ConfigError(f"kind={cfg['kind']} config lacks key {key!r}", key=key) from exc
     report_path = outdir / "report.json"
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=1, default=float)

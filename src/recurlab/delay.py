@@ -57,7 +57,6 @@ class DelayRhsSpec:
     """
 
     lags: tuple
-    dim: int = 1
     params: dict = field(default_factory=dict)
     forcing: SampledSignal = None
 

@@ -55,13 +55,10 @@ def iterate(m: MapSpec, u0, n_steps: int) -> SampledSignal:
     return SampledSignal(t0=0.0, dt=1.0, values=out, label=f"map:{m.kind}")
 
 
-def asymptotic_period(seg: SampledSignal, tol: float, p_max: int = None) -> int:
-    """Least integer p with sup |u(t+p) - u(t)| < tol on the segment, or 0."""
-    n = len(seg)
-    if p_max is None:
-        p_max = n // 2
+def asymptotic_period(seg: SampledSignal, tol: float) -> int:
+    """Least integer p <= n/2 with sup |u(t+p) - u(t)| < tol on the segment, or 0."""
     v = seg.values
-    for p in range(1, min(p_max, n - 1) + 1):  # p < n keeps the overlap non-empty
+    for p in range(1, len(seg) // 2 + 1):  # p <= n/2 < n keeps the overlap non-empty
         if _kernels.sup_diff_rows(v[p:], v[:-p]) < tol:
             return p
     return 0

@@ -31,32 +31,24 @@ from .signal import SampledSignal, Window, leader_clusters, shift_offset, shift_
 
 @dataclass(frozen=True)
 class TauSpec:
-    """Candidate-translation scan: uniform grid plus optional refinement.
+    """Candidate-translation scan: the uniform grid lo, lo + step, ... <= hi.
 
-    ``explicit`` overrides the (lo, hi, step) grid; ``step`` is still used
-    as the dedup/tail-length unit. Refinement runs a three-stage local scan
-    around near-misses (sup within 2x epsilon), because periods rarely
-    align with grids.
+    ``step`` is also the dedup and tail-length unit. With ``refine`` a
+    near-miss (sup within 2x epsilon) gets a three-stage local scan in tau,
+    because periods rarely align with grids.
     """
 
     lo: float
     hi: float
     step: float
     refine: bool = True
-    explicit: tuple = None
 
     def candidates(self):
-        if self.explicit is not None:
-            return np.asarray(self.explicit, dtype=float)
         n = int(np.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
         return self.lo + self.step * np.arange(n)
 
     def clipped(self, hi):
-        hi = min(self.hi, hi)
-        if self.explicit is not None:
-            keep = tuple(t for t in self.explicit if t <= hi + 1e-12)
-            return TauSpec(self.lo, hi, self.step, self.refine, keep)
-        return TauSpec(self.lo, hi, self.step, self.refine)
+        return TauSpec(self.lo, min(self.hi, hi), self.step, self.refine)
 
 
 @dataclass(frozen=True)
@@ -65,8 +57,6 @@ class Thresholds:
 
     epsilon_grid: tuple
     tau_candidates: TauSpec
-    cluster_tol: float = 0.05
-    tail_fraction: float = 0.5
     gap_bound_factor: float = 3.0
     stationary_taus: tuple = tuple(np.round(np.arange(0.5, 5.01, 0.5), 10))
     range_bound: float = 1e6
@@ -78,13 +68,6 @@ class Thresholds:
             raise ValueError("epsilon_grid must be positive and ascending")
         object.__setattr__(self, "epsilon_grid", eg)
 
-    @staticmethod
-    def default(span):
-        return Thresholds(
-            epsilon_grid=(0.05, 0.1, 0.2),
-            tau_candidates=TauSpec(lo=np.pi / 2, hi=min(span / 4, 400.0), step=np.pi / 2),
-        )
-
     def to_dict(self):
         return {
             "epsilon_grid": list(self.epsilon_grid),
@@ -93,10 +76,7 @@ class Thresholds:
                 "hi": self.tau_candidates.hi,
                 "step": self.tau_candidates.step,
                 "refine": self.tau_candidates.refine,
-                "explicit": list(self.tau_candidates.explicit) if self.tau_candidates.explicit else None,
             },
-            "cluster_tol": self.cluster_tol,
-            "tail_fraction": self.tail_fraction,
             "gap_bound_factor": self.gap_bound_factor,
             "stationary_taus": list(self.stationary_taus),
             "range_bound": self.range_bound,
@@ -190,37 +170,33 @@ def _flat(s: SampledSignal):
     return s.values[:, 0]
 
 
-def translation_set_global(s: SampledSignal, eps: float, w: Window, cands: TauSpec) -> TranslationSet:
-    """Bohr-type translation set: tau accepted iff sup |s(t+tau)-s(t)| < eps on w.
-
-    The comparison window is w shrunk so both signals are defined; the
-    recorded L is that window's start.
-    """
+def _candidates(cands: TauSpec, span: float, error):
+    """The candidate grid; ``error`` when it is empty or span < 4 x its largest tau."""
     taus = cands.candidates()
     if len(taus) == 0:
-        raise WindowTooShortError("no candidate translations")
-    if w.length < 4 * np.max(taus):
-        raise WindowTooShortError(
-            f"window length {w.length} < 4 x largest candidate {np.max(taus)}"
-        )
-    base = _flat(s)
-    i_a, i_b = s.window_slice(w)
+        raise error("no candidate translations")
+    if span < 4 * np.max(taus):
+        raise error(f"span {span} < 4 x largest candidate {np.max(taus)}")
+    return taus
 
-    def sup_at(tau, cap):
-        sh = shift_values(base, s.dt, tau)
-        j_b = min(i_b, len(sh) - 1)
-        if j_b <= i_a:
-            return np.inf
-        return _kernels.sup_diff_capped(sh[i_a:j_b + 1], base[i_a:j_b + 1], cap)
 
+def _scan(taus, cands: TauSpec, eps: float, value, entry) -> TranslationSet:
+    """The scan-and-refine loop behind every translation set.
+
+    ``value(tau)`` is the candidate's eps-free sup, which passes iff < eps;
+    ``entry(tau, v, refined)`` builds its TranslationEntry. With
+    ``cands.refine`` a near miss, eps <= v < 2 eps, is refined on ``value``
+    by :func:`_local_refine`; the refined tau is kept when it passes and is
+    positive.
+    """
     entries = []
     for tau in taus:
-        v = sup_at(tau, 2.2 * eps)
-        entries.append(TranslationEntry(float(tau), v < eps, w.a, float(v)))
+        v = value(tau)
+        entries.append(entry(tau, v, False))
         if cands.refine and eps <= v < 2 * eps:
-            t_best, v_best = _local_refine(lambda x: sup_at(x, 2.2 * eps), tau, cands.step, eps)
+            t_best, v_best = _local_refine(value, tau, cands.step, eps)
             if v_best < eps and t_best > 0:
-                entries.append(TranslationEntry(float(t_best), True, w.a, float(v_best), refined=True))
+                entries.append(entry(t_best, v_best, True))
     return TranslationSet(eps, entries, Window(0.0, float(np.max(taus))), cands.step)
 
 
@@ -243,25 +219,64 @@ def _local_refine(objective, tau0, step, eps, stages=3, pts=13):
     return best_t, best_v
 
 
-def _tail_profile(base, dt, tau, tail_steps, eps):
-    """(i_max, late, prof) for d = |s(t+tau) - s(t)| where s(t+tau) is sampled.
+def _joint_set(flats, dt, t0, span, eps, cands: TauSpec) -> TranslationSet:
+    """Common Bohr translation set of the flat sample arrays ``flats``.
 
-    late is the sup of d over the final tail_steps + 1 grid points, which
-    start at index i_max ((0, inf, None) when fewer exist); only that window
-    is formed unless late < eps. Then prof[i] is the sup of d from index i
-    on, the reversed cumulative max: it is nonincreasing, so the least tail
-    start with sup < eps' is count_nonzero(prof >= eps'). Otherwise prof is
-    None.
+    tau is accepted iff every array v has sup |v(t+tau) - v(t)| < eps where
+    v(t+tau) is sampled; the entry records the worst sup and L = t0. The
+    cap 2.2 eps lies past the near-miss band, so a candidate stops at the
+    first array that reaches it. ``span`` is the arrays' length in time.
     """
+    taus = _candidates(cands, span, WindowTooShortError)
+    cap = 2.2 * eps
+
+    def joint_sup(tau):
+        worst = 0.0
+        for v in flats:
+            sh = shift_values(v, dt, tau)
+            if len(sh) < 2:
+                return np.inf
+            val = _kernels.sup_diff_capped(sh, v[:len(sh)], cap)
+            if val > worst:
+                worst = val
+                if worst >= cap:
+                    return worst
+        return worst
+
+    def entry(tau, v, refined):
+        return TranslationEntry(float(tau), v < eps, t0, float(v), refined)
+
+    return _scan(taus, cands, eps, joint_sup, entry)
+
+
+def translation_set_global(s: SampledSignal, eps: float, cands: TauSpec) -> TranslationSet:
+    """Bohr-type translation set: tau accepted iff sup |s(t+tau)-s(t)| < eps.
+
+    The sup runs over the domain of s shrunk so both signals are defined,
+    and the recorded L is the domain start: the one-member case of
+    :func:`_joint_set`.
+    """
+    w = s.domain
+    return _joint_set([_flat(s)], s.dt, w.a, w.length, eps, cands)
+
+
+def _late_sup(base, dt, tau, tail_steps):
+    """Sup of d = |s(t+tau) - s(t)| over the final tail_steps + 1 grid points
+    where s(t+tau) is sampled (inf when fewer exist); only they are formed."""
     m = shift_offset(len(base), dt, tau)[2]
     if m <= tail_steps:
-        return 0, np.inf, None
-    i_max = m - 1 - tail_steps
-    late = _kernels.sup_diff(shift_values(base, dt, tau, last=tail_steps + 1), base[i_max:m])
-    if late >= eps:
-        return i_max, late, None
-    d = np.abs(shift_values(base, dt, tau) - base[:m])
-    return i_max, late, np.maximum.accumulate(d[::-1])[::-1]
+        return np.inf
+    return _kernels.sup_diff(shift_values(base, dt, tau, last=tail_steps + 1),
+                             base[m - 1 - tail_steps:m])
+
+
+def _tail_profile(base, dt, tau):
+    """prof[i] = sup of d = |s(t+tau) - s(t)| from index i on: the reversed
+    cumulative max of d, nonincreasing, so the least tail start with sup < eps
+    is count_nonzero(prof >= eps). The shifted samples stay an unnamed
+    temporary, so numpy reuses their buffer for the difference."""
+    d = np.abs(shift_values(base, dt, tau) - base[:shift_offset(len(base), dt, tau)[2]])
+    return np.maximum.accumulate(d[::-1])[::-1]
 
 
 #: accepted tails must also cover this fraction of the signal horizon;
@@ -278,52 +293,37 @@ def _remote_tail_steps(s: SampledSignal, cands: TauSpec):
 def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> TranslationSet:
     """Remote translation set: tau accepted iff a tail threshold L exists.
 
-    For each tau the least grid L with tail sup < eps is read off the tail
-    profile; acceptance requires a residual tail of at least one candidate
-    step and MIN_TAIL_SPAN_FRACTION of the horizon. The profile is built
-    only when that latest admissible tail passes, so rejections read the
-    late window alone. Near-misses (late sup within 2x eps) are refined in
-    tau on the late window before rejection.
+    A candidate's sup is the one over its latest admissible tail, at least
+    one candidate step and MIN_TAIL_SPAN_FRACTION of the horizon long; near
+    misses are refined on it. An accepted tau records the least grid L with
+    tail sup < eps, read off its tail profile (built for accepted taus
+    only); a rejected one records the latest tail start and sup.
     """
-    taus = cands.candidates()
-    if len(taus) == 0:
-        raise DomainTooShortError("no candidate translations")
-    if s.span < 4 * np.max(taus):
-        raise DomainTooShortError(
-            f"domain length {s.span} < 4 x largest candidate {np.max(taus)}"
-        )
+    taus = _candidates(cands, s.span, DomainTooShortError)
     base = _flat(s)
     tail_steps = _remote_tail_steps(s, cands)
 
-    def late_sup(tau):  # eps = 0 forms the late window alone
-        return _tail_profile(base, s.dt, tau, tail_steps, 0.0)[1]
-
-    def entry(tau, refined=False):
-        i_max, late, prof = _tail_profile(base, s.dt, tau, tail_steps, eps)
-        if prof is None:
-            return TranslationEntry(float(tau), False, float(s.t0 + i_max * s.dt), float(late))
+    def entry(tau, late, refined):
+        if late >= eps:
+            m = shift_offset(len(base), s.dt, tau)[2]
+            L = s.t0 + max(0, m - 1 - tail_steps) * s.dt
+            return TranslationEntry(float(tau), False, float(L), float(late))
+        prof = _tail_profile(base, s.dt, tau)
         idx = int(np.count_nonzero(prof >= eps))
         return TranslationEntry(float(tau), True, float(s.t0 + idx * s.dt), float(prof[idx]),
                                 refined)
 
-    entries = []
-    for tau in taus:
-        e = entry(tau)
-        entries.append(e)
-        if not e.accepted and cands.refine and e.tail_sup < 2 * eps:
-            t_best, v_best = _local_refine(late_sup, tau, cands.step, eps)
-            if v_best < eps and t_best > 0:  # v_best is t_best's late sup: accepted
-                entries.append(entry(t_best, refined=True))
-    return TranslationSet(eps, entries, Window(0.0, float(np.max(taus))), cands.step)
+    return _scan(taus, cands, eps, lambda tau: _late_sup(base, s.dt, tau, tail_steps), entry)
 
 
 def _least_tails(s: SampledSignal, tau: float, eps_grid, min_tail: float):
     """Least grid L per eps with tail sup < eps (None when no admissible L), from one profile."""
     base = _flat(s)
     tail_steps = max(1, int(np.ceil(min_tail / s.dt)))
-    i_max, _, prof = _tail_profile(base, s.dt, tau, tail_steps, max(eps_grid, default=0.0))
-    if prof is None:
+    if _late_sup(base, s.dt, tau, tail_steps) >= max(eps_grid, default=0.0):
         return [None] * len(eps_grid)
+    prof = _tail_profile(base, s.dt, tau)
+    i_max = len(prof) - 1 - tail_steps
     idx = [int(np.count_nonzero(prof >= eps)) for eps in eps_grid]
     return [s.t0 + i * s.dt if i <= i_max else None for i in idx]
 
@@ -352,37 +352,32 @@ def remotely_tau_periodic_test(s: SampledSignal, tau: float, eps_grid, min_tail=
 
 def remotely_stationary_test(s: SampledSignal, eps_grid, taus, min_tail=None):
     """Remote stationarity proxy: every tau in a dense grid passes every eps."""
-    flag = True
-    witness = {}
-    for tau in taus:
-        ok, table = remotely_tau_periodic_test(s, tau, eps_grid, min_tail=min_tail)
-        witness[float(tau)] = ok
-        flag = flag and ok
-    return flag, witness
+    witness = {float(tau): remotely_tau_periodic_test(s, tau, eps_grid, min_tail=min_tail)[0]
+               for tau in taus}
+    return all(witness.values()), witness
 
 
 def thap4_equivalence_check(s: SampledSignal, eps: float, cands: TauSpec) -> bool:
     """Accepted sets under the plain tail rule vs the t, t+tau >= L variant.
 
-    For nonnegative tau the two Bohr-type tail conditions coincide; both
-    are read from one tail profile per tau and compared. Two-sided signals
-    are out of scope: only tau >= 0 is scanned.
+    For nonnegative tau the two Bohr-type tail conditions coincide: every
+    tau the plain rule accepts at its least L also passes the variant at
+    that L, read from the same tail profile. Two-sided signals are out of
+    scope: only tau >= 0 is scanned.
     """
     base = _flat(s)
     tail_steps = _remote_tail_steps(s, cands)
-    set_a, set_b = [], []
     for tau in cands.candidates():
-        prof = _tail_profile(base, s.dt, tau, tail_steps, eps)[2]
-        plain = both = prof is not None
-        if plain:
-            idx = int(np.count_nonzero(prof >= eps))
-            # require t >= L and t + tau >= L for the found L; tau >= 0 makes
-            # the second constraint redundant but it is enforced literally
-            i_start = max(idx, int(np.ceil((idx * s.dt - tau) / s.dt)))
-            both = bool(prof[i_start] < eps)
-        set_a.append(plain)
-        set_b.append(both)
-    return set_a == set_b
+        if _late_sup(base, s.dt, tau, tail_steps) >= eps:
+            continue  # both rules reject tau
+        prof = _tail_profile(base, s.dt, tau)
+        idx = int(np.count_nonzero(prof >= eps))
+        # require t >= L and t + tau >= L for the found L; tau >= 0 makes
+        # the second constraint redundant but it is enforced literally
+        i_start = max(idx, int(np.ceil((idx * s.dt - tau) / s.dt)))
+        if prof[i_start] >= eps:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -457,36 +452,8 @@ def equi_ap_test(hull: HullSample, eps: float, cands: TauSpec,
     """
     if not hull.members:
         raise ValueError("hull is empty")
-    taus = cands.candidates()
-    W = hull.window.length
-    if W < 4 * np.max(taus):
-        raise WindowTooShortError(f"member window {W} < 4 x largest tau {np.max(taus)}")
-    flats = [_flat(m) for m in hull.members]
-    dt = hull.members[0].dt
-
-    def joint_sup(tau, cap):
-        worst = 0.0
-        for v in flats:
-            sh = shift_values(v, dt, tau)
-            m = len(sh)
-            if m < 2:
-                return np.inf
-            val = _kernels.sup_diff_capped(sh, v[:m], cap)
-            if val > worst:
-                worst = val
-                if worst >= cap:
-                    return worst
-        return worst
-
-    entries = []
-    for tau in taus:
-        v = joint_sup(tau, 2.2 * eps)
-        entries.append(TranslationEntry(float(tau), v < eps, hull.window.a, float(v)))
-        if cands.refine and eps <= v < 2 * eps:
-            t_best, v_best = _local_refine(lambda x: joint_sup(x, 2.2 * eps), tau, cands.step, eps)
-            if v_best < eps and t_best > 0:
-                entries.append(TranslationEntry(float(t_best), True, hull.window.a, float(v_best), refined=True))
-    ts = TranslationSet(eps, entries, Window(0.0, float(np.max(taus))), cands.step)
+    ts = _joint_set([_flat(m) for m in hull.members], hull.members[0].dt, hull.window.a,
+                    hull.window.length, eps, cands)
     return ts.relatively_dense(gap_bound_factor), ts
 
 
@@ -609,7 +576,7 @@ def aap_test(s: SampledSignal, hull: HullSample, eps: float,
         ap_cands = TauSpec(lo=np.pi / 2, hi=chk_span / 4, step=np.pi / 2, refine=True)
     for i, m in enumerate(hull.members):
         mc = m.restrict(Window(m.t0, m.t0 + chk_span)) if m.span > chk_span else m
-        ts = translation_set_global(mc, eps, mc.domain, ap_cands.clipped(mc.span / 4))
+        ts = translation_set_global(mc, eps, ap_cands.clipped(mc.span / 4))
         if not ts.relatively_dense():
             raise HullNotAPError(f"hull member {i} fails the AP test at eps={eps}")
 
@@ -722,36 +689,29 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
     w = s.domain
     evidence = {"ap": {}, "rap": {}, "aap": {}, "remote_tau": {}, "stationary": {}, "lagrange": {}}
 
-    ap_flag = True
-    for eps in th.epsilon_grid:
-        ts = translation_set_global(s, eps, w, cands)
-        dense = ts.relatively_dense(th.gap_bound_factor)
-        evidence["ap"][f"{eps:g}"] = {
-            "n_accepted": int(len(ts.accepted_taus())),
-            "max_gap": ts.max_gap,
-            "dense": bool(dense),
-        }
-        ap_flag = ap_flag and dense
-
-    rap_scan = True
-    remote_sets = [translation_set_remote(s, eps, cands) for eps in th.epsilon_grid]
-    for eps, ts in zip(th.epsilon_grid, remote_sets):
-        dense = ts.relatively_dense(th.gap_bound_factor)
-        evidence["rap"][f"{eps:g}"] = {
-            "n_accepted": int(len(ts.accepted_taus())),
-            "max_gap": ts.max_gap,
-            "dense": bool(dense),
-        }
-        rap_scan = rap_scan and dense
+    # global and remote density evidence; finest holds each scan's finest-eps set
+    dense, finest = {}, {}
+    for key, scan in (("ap", translation_set_global), ("rap", translation_set_remote)):
+        dense[key] = True
+        for eps in th.epsilon_grid:
+            ts = scan(s, eps, cands)
+            ok = ts.relatively_dense(th.gap_bound_factor)
+            evidence[key][f"{eps:g}"] = {
+                "n_accepted": int(len(ts.accepted_taus())),
+                "max_gap": ts.max_gap,
+                "dense": bool(ok),
+            }
+            dense[key] = dense[key] and ok
+            finest.setdefault(key, ts)
+    ap_flag, rap_scan = dense["ap"], dense["rap"]
 
     # remote tau-periodicity: try the smallest accepted remote translations
     rtp_flag, rtp_tau = False, None
-    for tau in list(remote_sets[0].representatives()[:8]):
+    for tau in list(finest["rap"].representatives()[:8]):
         ok, table = remotely_tau_periodic_test(s, float(tau), th.epsilon_grid)
         if ok:
             rtp_flag, rtp_tau = True, float(tau)
-            evidence["remote_tau"] = {"tau": rtp_tau,
-                                      "L_table": {k: v for k, v in table.items()}}
+            evidence["remote_tau"] = {"tau": rtp_tau, "L_table": dict(table)}
             break
     stat_flag, stat_witness = remotely_stationary_test(s, th.epsilon_grid, th.stationary_taus)
     evidence["stationary"] = {"all_taus_pass": bool(stat_flag),
@@ -781,4 +741,4 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
         "remotely_stationary": bool(stat_flag),
         "lagrange_stable_proxy": bool(lag_flag),
     }
-    return RecurrenceReport(flags, evidence, th, w, remote_sets[0])
+    return RecurrenceReport(flags, evidence, th, w, finest["rap"])

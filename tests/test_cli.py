@@ -107,11 +107,69 @@ def test_assertion_path_with_dotted_keys():
     ]) == []
 
 
+def _threshold_blocks(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "thresholds":
+                yield value
+            yield from _threshold_blocks(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _threshold_blocks(value)
+
+
 def test_shipped_configs_validate():
+    from recurlab.cli import _build_thresholds
+
     configs = sorted(CONFIG_DIR.glob("*.yaml"))
     assert configs, "expected shipped configs"
+    n_blocks = 0
     for path in configs:
-        load_config(path)
+        cfg = load_config(path)
+        for block in _threshold_blocks(cfg):
+            _build_thresholds(block)
+            n_blocks += 1
+    assert n_blocks
+
+
+def small_classify_cfg(**thresholds):
+    return {
+        "schema": 1, "kind": "classify", "seed": 0, "output_dir": "out/c",
+        "signal": {"forcing": "sin", "t0": 0.0, "t1": 200.0, "dt": 0.01},
+        "thresholds": {"epsilon_grid": [0.2],
+                       "tau": {"lo": 1.0, "hi": 40.0, "step": 1.0}, **thresholds},
+    }
+
+
+def small_omega_cfg(tau):
+    return {
+        "schema": 1, "kind": "omega", "seed": 0, "output_dir": "out/o",
+        "signal": {"forcing": "sin", "t0": 0.0, "t1": 300.0, "dt": 0.05},
+        "shifts": {"start": 100.0, "step": 1.0, "n": 3},
+        "window_len": 100.0, "cluster_tol": 0.05,
+        "equi_ap": {"eps": 0.1, "tau": tau},
+    }
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (small_classify_cfg(cluster_tol=0.05), "cluster_tol"),
+    (small_classify_cfg(tail_fraction=0.5), "tail_fraction"),
+    (small_classify_cfg(tau={"hi": 40.0, "explicit": [6.28]}), "explicit"),
+    (small_omega_cfg({"hi": 20.0, "explicit": [6.28]}), "explicit"),
+])
+def test_unknown_threshold_keys_exit_two_naming_the_key(cfg, key, tmp_path, capsys):
+    path = write_cfg(tmp_path, cfg)
+    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_missing_nested_key_exits_two_naming_the_key(tmp_path, capsys):
+    path = write_cfg(tmp_path, small_omega_cfg({"lo": 6.0, "step": 6.0}))
+    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 2
+    assert "config error (hi)" in capsys.readouterr().err
+    # with hi the same config runs
+    path = write_cfg(tmp_path, small_omega_cfg({"hi": 20.0}), name="ok.yaml")
+    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("name", ["classify_rap_sin_log", "map_corom1_periodic",

@@ -44,7 +44,7 @@ def brute_force_tail_sup(s, tau, L):
 def test_global_set_of_sine_accepts_periods():
     s = SampledSignal.from_function(np.sin, 0.0, 400.0, 0.005)
     cands = TauSpec(lo=np.pi / 2, hi=20 * np.pi, step=np.pi / 2, refine=False)
-    ts = translation_set_global(s, 0.05, Window(0, 400), cands)
+    ts = translation_set_global(s, 0.05, cands)
     accepted = ts.accepted_taus()
     # oracle: |sin(t+tau)-sin t| attains 2|sin(tau/2)|
     expected = [tau for tau in cands.candidates() if 2 * abs(np.sin(tau / 2)) < 0.05]
@@ -55,7 +55,7 @@ def test_global_set_of_sine_accepts_periods():
 def test_global_set_constant_accepts_everything():
     s = SampledSignal(t0=0, dt=0.01, values=np.full(40001, 1.7))
     cands = TauSpec(lo=1.0, hi=100.0, step=1.0, refine=False)
-    ts = translation_set_global(s, 0.05, Window(0, 400), cands)
+    ts = translation_set_global(s, 0.05, cands)
     assert len(ts.accepted_taus()) == 100
     assert ts.max_gap == pytest.approx(1.0)
 
@@ -63,22 +63,22 @@ def test_global_set_constant_accepts_everything():
 def test_global_eps_exceeding_diameter_accepts_everything():
     s = SampledSignal.from_function(np.sin, 0.0, 400.0, 0.01)
     cands = TauSpec(lo=np.pi / 2, hi=40.0, step=np.pi / 2, refine=False)
-    ts = translation_set_global(s, 3.0, Window(0, 400), cands)
+    ts = translation_set_global(s, 3.0, cands)
     assert all(e.accepted for e in ts.entries)
 
 
 def test_global_window_too_short():
     s = SampledSignal.from_function(np.sin, 0.0, 100.0, 0.01)
     with pytest.raises(WindowTooShortError):
-        translation_set_global(s, 0.1, Window(0, 100), TauSpec(lo=30, hi=90, step=30))
+        translation_set_global(s, 0.1, TauSpec(lo=30, hi=90, step=30))
 
 
 def test_eps_monotonicity_of_accepted_sets():
     s = SampledSignal.from_function(lambda t: np.sin(t) + 0.3 * np.sin(np.sqrt(5) * t),
                                     0.0, 800.0, 0.01)
     cands = TauSpec(lo=np.pi / 4, hi=200.0, step=np.pi / 4, refine=False)
-    small = translation_set_global(s, 0.1, Window(0, 800), cands)
-    big = translation_set_global(s, 0.3, Window(0, 800), cands)
+    small = translation_set_global(s, 0.1, cands)
+    big = translation_set_global(s, 0.3, cands)
     accepted_small = set(np.round(small.accepted_taus(), 9))
     accepted_big = set(np.round(big.accepted_taus(), 9))
     assert accepted_small <= accepted_big
@@ -126,7 +126,7 @@ def test_remote_domain_too_short():
 def test_global_acceptance_implies_remote_acceptance():
     s = SampledSignal.from_function(np.sin, 0.0, 400.0, 0.005)
     cands = TauSpec(lo=TWO_PI, hi=10 * TWO_PI, step=TWO_PI, refine=False)
-    g = translation_set_global(s, 0.05, Window(0, 400), cands)
+    g = translation_set_global(s, 0.05, cands)
     r = translation_set_remote(s, 0.05, cands)
     g_acc = {round(e.tau, 9) for e in g.entries if e.accepted}
     r_acc = {round(e.tau, 9) for e in r.entries if e.accepted}
@@ -446,3 +446,58 @@ def test_least_tail_threshold_matches_brute_force(seed, k, frac, on_grid, eps, m
 def test_least_tail_threshold_on_the_drifting_sine():
     i = assert_least_tail_exact(drifting_sine(t1=2000.0), TWO_PI, 0.1, TWO_PI)
     assert i is not None and i > 0
+
+
+# ---------------------------------------------------------------------------
+# the three translation sets against a direct oracle
+# ---------------------------------------------------------------------------
+
+def _direct_d(s, tau):
+    """|s(t+tau) - s(t)| on the grid points where s(t+tau) is sampled."""
+    sh = translate(s, tau).values[:, 0]
+    return np.abs(sh - s.values[:len(sh), 0])
+
+
+@given(st.integers(0, 10_000), st.floats(min_value=0.02, max_value=0.3), st.booleans(),
+       st.sampled_from([np.pi / 2, np.pi, TWO_PI]))
+@settings(max_examples=25, deadline=None)
+def test_translation_sets_match_a_direct_oracle(seed, eps, refine, step):
+    from recurlab.recurrence import MIN_TAIL_SPAN_FRACTION, HullSample
+
+    rng = np.random.default_rng(seed)
+    c, a, w, t0 = rng.uniform([0.0, 0.0, 1.2, 0.0], [1.0, 0.5, 2.5, 5.0])
+    s = SampledSignal.from_function(
+        lambda t: np.sin(t + c * np.log1p(t)) + a * np.sin(w * t + c * np.log1p(w * t)),
+        t0, t0 + 200.0, 0.05)
+    cands = TauSpec(lo=step * rng.uniform(0.9, 1.1), hi=50.0, step=step, refine=refine)
+
+    for e in translation_set_global(s, eps, cands).entries:
+        sup = float(np.max(_direct_d(s, e.tau)))
+        assert e.tail_sup == sup and e.accepted == (sup < eps) and e.L == s.t0
+        assert not e.refined or (e.accepted and e.tau > 0)
+
+    tail_steps = max(1, int(np.ceil(max(step, MIN_TAIL_SPAN_FRACTION * s.span) / s.dt)))
+    for e in translation_set_remote(s, eps, cands).entries:
+        d = _direct_d(s, e.tau)
+        i_max = len(d) - 1 - tail_steps
+        if not e.accepted:
+            assert e.tail_sup == float(np.max(d[i_max:])) >= eps
+            assert not e.refined
+            continue
+        assert e.tau > 0
+        i = round((e.L - s.t0) / s.dt)
+        assert e.L == s.t0 + i * s.dt and 0 <= i <= i_max
+        assert e.tail_sup == float(np.max(d[i:])) < eps
+        assert i == 0 or np.max(d[i - 1:]) >= eps  # from L - dt the tail fails
+
+    members = [SampledSignal.from_function(np.sin, t0, t0 + 200.0, 0.05),
+               SampledSignal.from_function(lambda t: np.sin(t) + a * np.sin(w * t),
+                                           t0, t0 + 200.0, 0.05)]
+    hull = HullSample(members, np.zeros(2), np.zeros((2, 2)), members[0].domain, 0.05, [1, 1])
+    _, joint = equi_ap_test(hull, eps, cands)
+    for e in joint.entries:
+        sups = [float(np.max(_direct_d(m, e.tau))) for m in members]
+        assert e.accepted == all(v < eps for v in sups) and e.L == hull.window.a
+        if e.accepted:
+            assert e.tail_sup == max(sups)
+        assert not e.refined or (e.accepted and e.tau > 0)
