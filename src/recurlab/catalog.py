@@ -21,7 +21,11 @@ MAX_EXPR_DEPTH = 32
 # ---------------------------------------------------------------------------
 
 def eval_expr(node, t, x, params=None, forcing_value=None, _depth=0):
-    """Evaluate a nested-list expression at scalar time t and state x.
+    """Evaluate a nested-list expression at time t and state x.
+
+    x is one state of shape (d,) or K stacked states of shape (K, d); t is
+    a scalar or one time per state. Components are read along the last
+    axis, so a node gives a scalar or a (K,) array.
 
     Nodes: ["t"], ["x"], ["x", i], ["const", c], ["param", name],
     ["forcing"], ["forcing", i], ["norm"], unary ["neg"|"sin"|"cos"|"ln"|
@@ -37,7 +41,7 @@ def eval_expr(node, t, x, params=None, forcing_value=None, _depth=0):
         return t
     if op == "x":
         if args:
-            return x[int(args[0])]
+            return x[..., int(args[0])]
         return x
     if op == "const":
         return float(args[0])
@@ -48,9 +52,9 @@ def eval_expr(node, t, x, params=None, forcing_value=None, _depth=0):
     if op == "forcing":
         if forcing_value is None:
             raise ConfigError("expression uses forcing but none was supplied", key="forcing")
-        return forcing_value[int(args[0])] if args else forcing_value[0]
+        return forcing_value[..., int(args[0]) if args else 0]
     if op == "norm":
-        return float(np.sqrt(np.sum(np.abs(x) ** 2)))
+        return np.sqrt(np.sum(np.abs(x) ** 2, axis=-1))
     if op == "neg":
         return -ev(args[0])
     if op in ("sin", "cos", "exp", "abs"):
@@ -72,9 +76,12 @@ def eval_expr(node, t, x, params=None, forcing_value=None, _depth=0):
 def build_field(kind, table, key, params, expr, forcing):
     """Field f(t, x) for kind "catalog:<id>" (looked up in table) or "expr".
 
-    An "expr" field evaluates one expression tree per component, reading
-    ["forcing"] nodes by linear interpolation of the forcing signal.
-    Errors name the config key (``rhs`` or ``map``) the kind came from.
+    Every field acts on one state x of shape (d,) or on K stacked states of
+    shape (K, d), with t a scalar or one time per state, and returns an
+    array of x's shape. An "expr" field evaluates one expression tree per
+    component, reading ["forcing"] nodes by linear interpolation of the
+    forcing signal. Errors name the config key (``rhs`` or ``map``) the
+    kind came from.
     """
     if kind.startswith("catalog:"):
         cid = kind.split(":", 1)[1]
@@ -84,7 +91,10 @@ def build_field(kind, table, key, params, expr, forcing):
     if kind == "expr":
         def f(t, x):
             fv = forcing.value_at(t) if forcing is not None else None
-            return np.array([eval_expr(tree, t, x, params, fv) for tree in expr], dtype=float)
+            out = np.empty(np.shape(x)[:-1] + (len(expr),))
+            for i, tree in enumerate(expr):
+                out[..., i] = eval_expr(tree, t, x, params, fv)
+            return out
 
         return f
     raise ConfigError(f"unknown {key} kind {kind!r}", key=key)
@@ -127,7 +137,12 @@ def build_forcing(fid: str, t0: float, t1: float, dt: float, params=None) -> Sam
 # ---------------------------------------------------------------------------
 
 def scalar_interp(forcing):
-    """Fast scalar linear interpolation closure; integrators call it per step."""
+    """Linear interpolation of the forcing's first column at t.
+
+    t is a scalar or an array (one time per stacked state); integrators
+    call the closure once per field evaluation. Times past either end
+    extrapolate from the end cells.
+    """
     fv = np.ascontiguousarray(forcing.values[:, 0].real)
     t0 = forcing.t0
     dt = forcing.dt
@@ -135,11 +150,11 @@ def scalar_interp(forcing):
 
     def at(t):
         pos = (t - t0) / dt
-        k = int(pos)
-        if k < 0:
-            k = 0
-        elif k > top:
-            k = top
+        if isinstance(pos, float):   # one time: Python ints index fastest
+            k = int(pos)
+            k = 0 if k < 0 else top if k > top else k
+        else:
+            k = np.minimum(np.maximum(pos.astype(np.intp), 0), top)
         fr = pos - k
         return fv[k] * (1.0 - fr) + fv[k + 1] * fr
 
@@ -150,9 +165,9 @@ def _rhs_heq1(params, forcing):
     fa = scalar_interp(forcing) if forcing is not None else None
 
     def f(t, x):
-        out = -np.linalg.norm(x) * x
+        out = -np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True)) * x
         if fa is not None:
-            out[0] += fa(t)
+            out.T[0] += fa(t)   # first component of every state
         return out
     return f
 
@@ -164,8 +179,7 @@ def _rhs_linear_decay(params, forcing):
     def f(t, x):
         out = -rate * x
         if fa is not None:
-            out = out.copy()
-            out[0] += fa(t)
+            out.T[0] += fa(t)   # first component of every state
         return out
     return f
 
@@ -179,7 +193,7 @@ def _rhs_zero(params, forcing):
 def _rhs_norm_decay(params, forcing):
     # pure -|x| x without forcing (Condition (H) reference field)
     def f(t, x):
-        return -np.linalg.norm(x) * x
+        return -np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True)) * x
     return f
 
 
@@ -202,8 +216,7 @@ def _map_affine(params, forcing):
     def g(t, u):
         out = a * u
         if fa is not None:
-            out = out.copy()
-            out[0] += fa(t)
+            out.T[0] += fa(t)   # first component of every state
         return out
     return g
 

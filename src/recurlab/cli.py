@@ -52,6 +52,7 @@ def load_config(path):
     for required in _REQUIRED_KEYS[kind]:
         if required not in cfg:
             raise ConfigError(f"kind={kind} requires key {required!r}", key=required)
+    _check_blocks(cfg, _BLOCKS[kind])
     return cfg
 
 
@@ -76,26 +77,60 @@ def _build_signal(spec):
     raise ConfigError("signal needs `file` or `forcing`", key="signal")
 
 
-def _check_keys(spec, allowed, block):
-    """ConfigError naming the first key of ``spec`` outside ``allowed``."""
-    unknown = sorted(set(spec) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in `{block}` (accepted: "
-                          f"{', '.join(allowed)})", key=unknown[0])
+def _keys(*names, **blocks):
+    """Accepted keys of a config block: plain keys map to None, nested blocks
+    to their own accepted keys."""
+    return {**dict.fromkeys(names), **blocks}
+
+
+_SCALAR_THRESHOLDS = ("gap_bound_factor", "range_bound", "equicontinuity_bound")
+_TAU = _keys("lo", "hi", "step", "refine")
+_THRESHOLDS = _keys("epsilon_grid", "stationary_taus", *_SCALAR_THRESHOLDS, tau=_TAU)
+_CLASSIFY = _keys("burn_in", thresholds=_THRESHOLDS)
+
+#: the nested blocks each kind reads, with their accepted keys; load_config
+#: refuses any other key inside them
+_BLOCKS = {
+    "classify": _keys(thresholds=_THRESHOLDS),
+    "omega": _keys(shifts=_keys("start", "step", "n"),
+                   equi_ap=_keys("eps", "gap_bound_factor", tau=_TAU),
+                   minimality=_keys("eps", "n_probes", "slide_span")),
+    "ode": _keys(tolerances=_keys("rel", "abs"), classify=_CLASSIFY,
+                 condition_h=_keys("kappa", "alpha", "box_lo", "box_hi", "n_pairs", "t_samples"),
+                 fiber=_keys("shifts", "x0_set", "horizon", "burn_in", "cluster_tol", "out_dt"),
+                 stability=_keys("delta_grid", "eps_grid", "restart_times", "horizon",
+                                 "kappa", "alpha")),
+    "dde": _keys(init=_keys("value", "file"), classify=_CLASSIFY),
+    "map": _keys(fiber=_keys("shifts", "x0_set", "burn_in", "cluster_tol"), classify=_CLASSIFY),
+    "roots": _keys(classify=_keys("classify_dt", thresholds=_THRESHOLDS)),
+    "zhikov": _keys(thresholds=_THRESHOLDS),
+}
+
+
+def _check_blocks(spec, blocks, where=""):
+    """ConfigError naming the first unknown key in any block of ``spec``
+    that ``blocks`` lists, nested blocks included."""
+    for name, allowed in blocks.items():
+        if allowed is None or name not in spec:
+            continue
+        path = f"{where}.{name}" if where else name
+        block = spec[name]
+        if not isinstance(block, dict):
+            raise ConfigError(f"`{path}` must be a mapping", key=name)
+        unknown = sorted(set(block) - set(allowed))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in `{path}` (accepted: "
+                              f"{', '.join(allowed)})", key=unknown[0])
+        _check_blocks(block, allowed, path)
 
 
 def _build_tau(tau, **defaults):
     """TauSpec from a `tau` block over ``defaults``; a key without a default is required."""
-    _check_keys(tau, ("lo", "hi", "step", "refine"), "tau")
     tau = {"refine": True, **defaults, **tau}
     return TauSpec(float(tau["lo"]), float(tau["hi"]), float(tau["step"]), bool(tau["refine"]))
 
 
-_SCALAR_THRESHOLDS = ("gap_bound_factor", "range_bound", "equicontinuity_bound")
-
-
 def _build_thresholds(spec):
-    _check_keys(spec, ("epsilon_grid", "tau", "stationary_taus") + _SCALAR_THRESHOLDS, "thresholds")
     kwargs = {key: float(spec[key]) for key in _SCALAR_THRESHOLDS if key in spec}
     if "stationary_taus" in spec:
         kwargs["stationary_taus"] = tuple(float(x) for x in spec["stationary_taus"])

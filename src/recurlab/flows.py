@@ -100,35 +100,59 @@ def integrate(ivp: IVP) -> SampledSignal:
 
     The output grid step is min(max_step, span/1e4); the integrator is
     deterministic for fixed inputs. Blow-up surfaces as
-    StepSizeUnderflowError, a non-finite field as NonFiniteRhsError.
+    StepSizeUnderflowError, a non-finite field as NonFiniteRhsError. This
+    is the one-member case of :func:`_integrate_family`.
+    """
+    return _integrate_family(ivp, [ivp.x0], [0.0])[0]
+
+
+def _integrate_family(ivp: IVP, x0s, offsets):
+    """Solutions of x' = f(t + offsets[k], x), x(a) = x0s[k], in one solve.
+
+    The K members are stacked into one state of length K d and handed to
+    one RK45 call with rtol/sqrt(K) and atol/sqrt(K). RK45 accepts a step
+    when the RMS of the scaled error over all components is <= 1; with
+    the tolerances so scaled, that RMS is sqrt(sum_k e_k^2) >= max_k e_k,
+    where e_k is the RMS member k's solo run would see, so every member's
+    local error test is at least as strict as in its own run. K = 1 is
+    :func:`integrate`, bit for bit. ``ivp`` gives the field, the span, the
+    tolerances and the output grid; its x0 is not read. Returns one
+    SampledSignal per member on the output grid of ``ivp``.
     """
     f = ivp.rhs.build()
-    span = ivp.t_span.length
+    x0s = np.asarray(x0s, dtype=float)
+    k, d = x0s.shape
+    offsets = np.asarray(offsets, dtype=float)
+    if np.all(offsets == offsets[0]):   # one shared time: the field gets a scalar t
+        offsets = float(offsets[0])
 
-    def guarded(t, x):
-        v = np.asarray(f(t, x), dtype=float)
-        if not np.all(np.isfinite(v)):
+    def guarded(t, y):
+        # one member is one plain state, K members are a (K, d) stack
+        v = np.asarray(f(t + offsets, y if k == 1 else y.reshape(k, d)), dtype=float)
+        if not np.isfinite(v).all():
             raise NonFiniteRhsError(f"rhs non-finite at t={t}")
-        return v
+        return v if k == 1 else v.reshape(-1)
 
     sol = solve_ivp(
         guarded,
         (ivp.t_span.a, ivp.t_span.b),
-        np.asarray(ivp.x0, dtype=float),
+        x0s.reshape(-1),
         method="RK45",
-        rtol=ivp.rel_tol,
-        atol=ivp.abs_tol,
+        rtol=ivp.rel_tol / np.sqrt(k),
+        atol=ivp.abs_tol / np.sqrt(k),
         max_step=ivp.max_step,
         dense_output=True,
     )
     if sol.status == -1:
         raise StepSizeUnderflowError(sol.message)
+    span = ivp.t_span.length
     dt = ivp.out_dt if ivp.out_dt is not None else min(ivp.max_step, span / 1e4)
     n = int(np.floor(span / dt + 1e-9)) + 1
     ts = ivp.t_span.a + dt * np.arange(n)
     ts[-1] = min(ts[-1], ivp.t_span.b)
-    vals = sol.sol(ts).T
-    return SampledSignal(t0=ivp.t_span.a, dt=dt, values=vals, label=f"ivp:{ivp.rhs.kind}")
+    vals = sol.sol(ts).reshape(k, d, n)
+    return [SampledSignal(t0=ivp.t_span.a, dt=dt, values=v.T, label=f"ivp:{ivp.rhs.kind}")
+            for v in vals]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +165,11 @@ def condition_h_margin(rhs: RhsSpec, p: ConditionHParams, t_samples, seed: int =
     margin = min over pairs and times of
     [-kappa |D|^alpha - Re<D, f(t,x1) - f(t,x2)>]; nonnegative means the
     condition holds on the sample (a certificate at sample resolution
-    only). Pairs are fixed-seed pseudo-random plus a deterministic lattice.
+    only). Pairs are fixed-seed pseudo-random plus a deterministic lattice
+    (box corners against the centre and against the reversed corners).
+    The field is called once per sample time on all pairs stacked; each
+    pair's margin keeps the arithmetic of a one-pair evaluation (|D|^alpha
+    by the scalar power), and pairs with D = 0 or a NaN margin are skipped.
     """
     if p.n_pairs < 1000:
         raise ValueError("need at least 10^3 sampled pairs")
@@ -160,17 +188,17 @@ def condition_h_margin(rhs: RhsSpec, p: ConditionHParams, t_samples, seed: int =
     x1s = np.vstack([x1s, extra1])
     x2s = np.vstack([x2s, extra2])
 
+    delta = x1s - x2s
+    nd = np.linalg.norm(delta, axis=1)
+    keep = nd != 0.0
+    delta, x1s, x2s = delta[keep], x1s[keep], x2s[keep]
+    # numpy's array power rounds differently from the scalar pow
+    decay = p.kappa * np.array([v ** p.alpha for v in nd[keep].tolist()])
     worst = np.inf
     for t in np.atleast_1d(t_samples):
-        for x1, x2 in zip(x1s, x2s):
-            delta = x1 - x2
-            nd = np.linalg.norm(delta)
-            if nd == 0.0:
-                continue
-            df = f(float(t), x1) - f(float(t), x2)
-            margin = -p.kappa * nd ** p.alpha - float(np.real(np.dot(delta, df)))
-            if margin < worst:
-                worst = margin
+        df = f(float(t), x1s) - f(float(t), x2s)
+        margin = -decay - np.real(np.sum(delta * df, axis=1))
+        worst = np.fmin.reduce(margin, initial=worst)   # fmin skips NaN margins
     return float(worst)
 
 
@@ -245,18 +273,25 @@ class HullRun:
 def hull_solutions(rhs: RhsSpec, shifts, x0_set, horizon: float,
                    rel_tol: float = 1e-8, abs_tol: float = 1e-10,
                    max_step: float = np.inf, out_dt: float = None):
-    """Integrate y' = f^h(t, y) for every (shift h, initial state).
+    """Integrate y' = f^h(t, y) on [0, horizon] for every (shift h, initial state).
 
+    All pairs are one stacked solve (:func:`_integrate_family`): the
+    member for shift h reads the field at time t + h. For a catalog field,
+    whose time dependence is its forcing, that is ``rhs.shifted(h)`` for
+    every h on the forcing grid (off the grid, shifted() would re-sample
+    the forcing first); an expression field's ["t"] nodes shift as well.
     Deterministic order: lexicographic in (shift index, x0 index).
     """
-    runs = []
+    shifts = [float(h) for h in shifts]
     for h in shifts:
-        rh = rhs.shifted(float(h))
-        for x0 in x0_set:
-            x0t = tuple(np.atleast_1d(np.asarray(x0, dtype=float)))
-            ivp = IVP(rh, x0t, Window(0.0, horizon), rel_tol, abs_tol, max_step, out_dt)
-            runs.append(HullRun(float(h), x0t, integrate(ivp)))
-    return runs
+        rhs.shifted(h)   # refuses h < 0 and h past the forcing's span
+    x0s = [tuple(np.atleast_1d(np.asarray(x0, dtype=float))) for x0 in x0_set]
+    pairs = [(h, x0) for h in shifts for x0 in x0s]
+    if not pairs:
+        return []
+    ivp = IVP(rhs, x0s[0], Window(0.0, horizon), rel_tol, abs_tol, max_step, out_dt)
+    sols = _integrate_family(ivp, [x0 for _, x0 in pairs], [h for h, _ in pairs])
+    return [HullRun(h, x0, sol) for (h, x0), sol in zip(pairs, sols)]
 
 
 @dataclass
@@ -315,12 +350,16 @@ def uniform_stability_probe(rhs: RhsSpec, ref: SampledSignal, delta_grid, eps_gr
                             h_params: ConditionHParams = None):
     """Empirical delta(eps) stability table and L(eps) attraction table.
 
-    For each restart time the reference state is offset by delta along the
-    first coordinate and re-integrated. Stability: largest sampled delta
-    whose perturbations stay within eps for the whole horizon, for every
-    restart. Attraction: worst observed re-entry lag into the eps-tube for
-    the largest delta, compared against the closed-form attraction time
-    when Condition (H) parameters are supplied.
+    For each restart time t0 (moved up to ref's grid) the reference state
+    is offset by delta along the first coordinate and re-integrated over
+    [t0, t0 + horizon], sampled at ref.dt. All (restart, delta) runs are
+    one stacked solve (:func:`_integrate_family`): the member restarted at
+    t0 integrates over [0, horizon] and reads the field at t + t0.
+    Stability: largest sampled delta whose perturbations stay within eps
+    for the whole horizon, for every restart. Attraction: worst observed
+    re-entry lag into the eps-tube for the largest delta, compared against
+    the closed-form attraction time when Condition (H) parameters are
+    supplied.
     """
     delta_grid = sorted(float(d) for d in delta_grid)
     eps_grid = sorted(float(e) for e in eps_grid)
@@ -328,30 +367,32 @@ def uniform_stability_probe(rhs: RhsSpec, ref: SampledSignal, delta_grid, eps_gr
     max_dev = {}       # (restart, delta) -> max deviation over horizon
     reentry = {}       # (restart, eps) -> lag after which deviation stays < eps
 
+    members = []       # (restart, ref index, delta)
+    x0s = []
     for t0r in restart_times:
         i0 = ref._index_of(t0r, round_up=True)
-        t0g = ref.t0 + i0 * ref.dt
-        x_ref = ref.values[i0].real
         for delta in delta_grid:
-            x0 = x_ref.copy()
+            x0 = ref.values[i0].real.copy()
             x0[0] += delta
-            ivp = IVP(rhs, tuple(x0), Window(t0g, t0g + horizon), rel_tol, abs_tol,
-                      out_dt=ref.dt)
-            pert = integrate(ivp)
-            n = min(len(pert), len(ref) - i0)
-            dv = pert.values[:n] - ref.values[i0:i0 + n]
-            dist = np.sqrt(np.sum((dv * dv.conj()).real, axis=1))
-            max_dev[(t0r, delta)] = float(np.max(dist))
-            if delta == delta0:
-                for eps in eps_grid:
-                    above = np.nonzero(dist >= eps)[0]
-                    if len(above) == 0:
-                        lag = 0.0
-                    elif above[-1] == len(dist) - 1:
-                        lag = np.inf   # never re-entered within the horizon
-                    else:
-                        lag = (above[-1] + 1) * ref.dt
-                    reentry[(t0r, eps)] = lag
+            members.append((t0r, i0, delta))
+            x0s.append(x0)
+    ivp = IVP(rhs, tuple(x0s[0]), Window(0.0, horizon), rel_tol, abs_tol, out_dt=ref.dt)
+    offsets = [ref.t0 + i0 * ref.dt for _, i0, _ in members]
+    for (t0r, i0, delta), pert in zip(members, _integrate_family(ivp, x0s, offsets)):
+        n = min(len(pert), len(ref) - i0)
+        dv = pert.values[:n] - ref.values[i0:i0 + n]
+        dist = np.sqrt(np.sum((dv * dv.conj()).real, axis=1))
+        max_dev[(t0r, delta)] = float(np.max(dist))
+        if delta == delta0:
+            for eps in eps_grid:
+                above = np.nonzero(dist >= eps)[0]
+                if len(above) == 0:
+                    lag = 0.0
+                elif above[-1] == len(dist) - 1:
+                    lag = np.inf   # never re-entered within the horizon
+                else:
+                    lag = (above[-1] + 1) * ref.dt
+                reentry[(t0r, eps)] = lag
 
     stability = {}
     for eps in eps_grid:

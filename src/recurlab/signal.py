@@ -134,14 +134,21 @@ class SampledSignal:
         )
 
     def value_at(self, t):
-        """Linear interpolation between neighbouring grid points."""
+        """Linear interpolation between neighbouring grid points.
+
+        t is a scalar (the result has shape (d,)) or an array of times (the
+        result has shape t.shape + (d,)).
+        """
+        t = np.asarray(t, dtype=float)
         pos = (t - self.t0) / self.dt
-        if pos < -GRID_RTOL or pos > len(self) - 1 + GRID_RTOL:
-            raise WindowOutOfDomainError(f"t={t} outside domain [{self.t0}, {self.t_end}]")
-        k = int(np.clip(np.floor(pos), 0, len(self) - 2)) if len(self) > 1 else 0
-        fr = pos - k
+        outside = (pos < -GRID_RTOL) | (pos > len(self) - 1 + GRID_RTOL)
+        if np.any(outside):
+            raise WindowOutOfDomainError(f"t={t[outside][0]} outside domain "
+                                         f"[{self.t0}, {self.t_end}]")
         if len(self) == 1:
-            return self.values[0]
+            return np.broadcast_to(self.values[0], pos.shape + (self.dim,))
+        k = np.clip(np.floor(pos), 0, len(self) - 2).astype(np.intp)
+        fr = (pos - k)[..., None]
         return (1.0 - fr) * self.values[k] + fr * self.values[k + 1]
 
     def rebase(self, new_t0):

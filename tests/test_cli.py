@@ -163,6 +163,78 @@ def test_unknown_threshold_keys_exit_two_naming_the_key(cfg, key, tmp_path, caps
     assert repr(key) in capsys.readouterr().err
 
 
+def small_dde_cfg():
+    return {"schema": 1, "kind": "dde", "seed": 0, "output_dir": "out/d", "r": 1.0,
+            "lags": [-1.0], "init": {"value": 1.0}, "horizon": 2.0}
+
+
+#: (shipped config or builder, path of a nested block) for every block kind
+#: that a runner reads
+NESTED_BLOCKS = [
+    ("classify_rap_sin_log", ("thresholds",)),
+    ("classify_rap_sin_log", ("thresholds", "tau")),
+    ("ode_condition_h", ("tolerances",)),
+    ("ode_condition_h", ("condition_h",)),
+    ("ode_heq1_amerio", ("fiber",)),
+    ("ode_heq1_amerio", ("classify",)),
+    ("ode_heq1_amerio", ("classify", "thresholds", "tau")),
+    ("ode_attraction", ("stability",)),
+    ("map_corom1_periodic", ("fiber",)),
+    ("roots_rap_quadratic", ("classify",)),
+    ("roots_rap_quadratic", ("classify", "thresholds")),
+    ("zhikov_surrogate", ("thresholds",)),
+    ("omega_heq1_forcing", ("shifts",)),
+    ("omega_heq1_forcing", ("equi_ap",)),
+    ("omega_heq1_forcing", ("equi_ap", "tau")),
+    ("omega_heq1_forcing", ("minimality",)),
+    (small_dde_cfg, ("init",)),
+]
+
+
+@pytest.mark.parametrize("source, block", NESTED_BLOCKS,
+                         ids=[f"{getattr(c, '__name__', c)}:{'.'.join(b)}" for c, b in NESTED_BLOCKS])
+def test_misspelt_key_in_any_block_exits_two_from_validate_and_run(source, block, tmp_path,
+                                                                   capsys):
+    if callable(source):
+        cfg = source()
+    else:
+        cfg = yaml.safe_load((CONFIG_DIR / f"{source}.yaml").read_text())
+    node = cfg
+    for name in block:
+        node = node[name]
+    node["gap_bound_facter"] = 1.0
+    path = write_cfg(tmp_path, cfg)
+    for command in (["validate", str(path)], ["run", str(path), "--output-root", str(tmp_path)]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert "'gap_bound_facter'" in err and f"`{'.'.join(block)}`" in err
+    assert not (tmp_path / cfg.get("output_dir", "exp")).exists()
+
+
+def test_block_that_is_not_a_mapping_is_refused(tmp_path):
+    cfg = small_dde_cfg()
+    cfg["init"] = 1.0
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_cfg(tmp_path, cfg))
+    assert exc.value.key == "init"
+
+
+@pytest.mark.parametrize("size", ["tiny", "full"])
+def test_perfbench_configs_load(size, tmp_path):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", CONFIG_DIR.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    n = 0
+    for workload in workloads.SIZES[size]:
+        for case in workloads.generate(workload, 1, tmp_path / workload, size=size):
+            assert load_config(case.path)["kind"]
+            n += 1
+    assert n == 10
+
+
 def test_missing_nested_key_exits_two_naming_the_key(tmp_path, capsys):
     path = write_cfg(tmp_path, small_omega_cfg({"lo": 6.0, "step": 6.0}))
     assert main(["run", str(path), "--output-root", str(tmp_path)]) == 2
@@ -174,8 +246,9 @@ def test_missing_nested_key_exits_two_naming_the_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["classify_rap_sin_log", "map_corom1_periodic",
                                   "ode_attraction", "ode_condition_h",
-                                  "ode_corom1_stationary", "roots_collision",
-                                  "roots_rap_quadratic", "roots_separated_quadratic"])
+                                  "ode_corom1_stationary", "ode_heq1_amerio",
+                                  "roots_collision", "roots_rap_quadratic",
+                                  "roots_separated_quadratic"])
 def test_fast_shipped_config_runs_and_passes_its_assertions(name, tmp_path):
     path = CONFIG_DIR / f"{name}.yaml"
     code, manifest = run_config(path, output_root=tmp_path)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from recurlab.delay import (
     precompactness_proxy,
     segment_trajectory,
 )
-from recurlab.errors import LagOutOfRangeError, SampleBeforeDelayError
+from recurlab.errors import LagOutOfRangeError, NonFiniteValueError, SampleBeforeDelayError
 from recurlab.flows import IVP, RhsSpec, integrate
 from recurlab.signal import SampledSignal, Window, sup_distance
 
@@ -144,3 +147,103 @@ def test_two_lag_linear_combination():
     fine = integrate_dde(rhs, init, 8.0, dt=0.002)
     n = min(len(coarse), len(fine.resample(coarse.dt)))
     assert np.max(np.abs(coarse.values[:n, 0] - fine.resample(coarse.dt).values[:n, 0])) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the chunked method of steps against independent references
+# ---------------------------------------------------------------------------
+
+def _hermite(y0, y1, d0, d1, s, h):
+    s2 = s * s
+    s3 = s2 * s
+    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * d0
+            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * d1)
+
+
+def _rk4_step_by_step(rhs, init, horizon, dt):
+    """Deliberately naive reference: one RK4 step per loop iteration.
+
+    Every stage evaluates the functional on freshly interpolated lag
+    values; the chunked integrator must agree with it up to rounding.
+    """
+    r = init.r
+    N = max(100, int(round(r / dt)))
+    h = r / N
+    n_steps = int(np.ceil(horizon / h - 1e-9))
+    d = init.dim
+    weights = rhs.weights(r)
+    lag_idx = [int(round(-th / h)) for th in rhs.lags]
+    u = np.empty((N + 1 + n_steps, d))
+    du = np.empty_like(u)
+    u[:N + 1] = init.samples.values.real
+    ghist = np.gradient(u[:N + 1], h, axis=0)
+    du[:N + 1] = ghist
+
+    def lagged_at(pos, state):
+        vals = []
+        for m in lag_idx:
+            if m == 0:
+                vals.append(state)
+                continue
+            p = pos - m
+            k = int(np.floor(p + 1e-12))
+            s = p - k
+            if s < 1e-12:
+                vals.append(u[k])
+            elif k + 1 <= N:
+                vals.append(_hermite(u[k], u[k + 1], ghist[k], ghist[k + 1], s, h))
+            else:
+                vals.append(_hermite(u[k], u[k + 1], du[k], du[k + 1], s, h))
+        return vals
+
+    def f(t, pos, state):
+        out = sum(w * v for w, v in zip(weights, lagged_at(pos, state)))
+        if rhs.forcing is not None:
+            out = out + np.eye(d)[0] * rhs.forcing.value_at(t)[0].real
+        return out
+
+    for i in range(n_steps):
+        gi, t, y = N + i, i * h, u[N + i]
+        k1 = f(t, gi, y)
+        du[gi] = k1
+        k2 = f(t + h / 2, gi + 0.5, y + h / 2 * k1)
+        k3 = f(t + h / 2, gi + 0.5, y + h / 2 * k2)
+        k4 = f(t + h, gi + 1.0, y + h * k3)
+        u[gi + 1] = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u[N:]
+
+
+def test_unit_delay_matches_its_piecewise_polynomial():
+    # u' = -u(t-1), u = 1 on [-1, 0]: on [k-1, k] the solution is a degree-k
+    # polynomial, u(t) = 1 + sum_{k=1}^{ceil t} (-1)^k (t-k+1)^k / k!. The
+    # lagged pieces have degree <= 3 on [0, 4], so Hermite history and
+    # RK4 (Simpson's rule here) are exact up to rounding.
+    rhs = DelayRhsSpec(lags=(-1.0,), params={"weights": [-1.0]})
+    u = integrate_dde(rhs, HistorySegment.constant(1.0, 1.0), 4.0, dt=0.01)
+    ts = u.times()
+    exact = np.array([1.0 + sum((-1) ** k * (t - k + 1) ** k / math.factorial(k)
+                                for k in range(1, math.ceil(t - 1e-9) + 1)) for t in ts])
+    assert np.max(np.abs(u.values[:, 0] - exact)) <= 1e-12
+
+
+def test_chunked_steps_match_the_step_by_step_reference():
+    # two nonzero lags of different lengths (chunks of 37 steps, shorter
+    # than r), a zero lag, a forcing and a two-dimensional state
+    f = build_forcing("rap_sin_log", 0.0, 10.0, 0.005)
+    rhs = DelayRhsSpec(lags=(0.0, -0.37, -1.0), params={"weights": [-1.5, 0.4, -0.3]},
+                       forcing=f)
+    init = HistorySegment.from_function(
+        1.0, lambda t: np.column_stack([1 + 0.3 * t, np.cos(2 * t)]), dt=0.01)
+    u = integrate_dde(rhs, init, 5.0, dt=0.01)
+    ref = _rk4_step_by_step(rhs, init, 5.0, 0.01)
+    assert u.values.shape == ref.shape == (501, 2)
+    assert np.max(np.abs(u.values - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("a", [40.0, 1e5])   # past the 1e12 guard; overflow to inf
+def test_blow_up_raises_without_runtime_warnings(a):
+    rhs = DelayRhsSpec(lags=(0.0, -1.0), params={"weights": [a, 5.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError):
+            integrate_dde(rhs, HistorySegment.constant(1.0, 1.0), 100.0, dt=0.01)
