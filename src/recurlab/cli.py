@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import __version__, _kernels
-from .catalog import RHS_CATALOG, build_forcing, catalog_listing
+from .catalog import build_forcing, catalog_listing
 from .errors import BranchCollisionError, ConfigError, RecurlabError
 from .recurrence import TauSpec, Thresholds, classify, equi_ap_test, minimality_test, \
     omega_limit_sample
@@ -52,7 +52,7 @@ def load_config(path):
     for required in _REQUIRED_KEYS[kind]:
         if required not in cfg:
             raise ConfigError(f"kind={kind} requires key {required!r}", key=required)
-    _check_blocks(cfg, _BLOCKS[kind])
+    _check_keys(cfg, _CONFIG_KEYS[kind])
     return cfg
 
 
@@ -88,40 +88,49 @@ _TAU = _keys("lo", "hi", "step", "refine")
 _THRESHOLDS = _keys("epsilon_grid", "stationary_taus", *_SCALAR_THRESHOLDS, tau=_TAU)
 _CLASSIFY = _keys("burn_in", thresholds=_THRESHOLDS)
 
-#: the nested blocks each kind reads, with their accepted keys; load_config
-#: refuses any other key inside them
-_BLOCKS = {
-    "classify": _keys(thresholds=_THRESHOLDS),
-    "omega": _keys(shifts=_keys("start", "step", "n"),
+_COMMON = ("schema", "kind", "seed", "output_dir", "assertions")
+
+#: the keys each kind reads, nested blocks with their own accepted keys;
+#: load_config refuses any other key, at the top level or inside a block
+_CONFIG_KEYS = {
+    "classify": _keys(*_COMMON, "signal", "restrict", "write_translation_set",
+                      thresholds=_THRESHOLDS),
+    "omega": _keys(*_COMMON, "signal", "window_len", "cluster_tol",
+                   shifts=_keys("start", "step", "n"),
                    equi_ap=_keys("eps", "gap_bound_factor", tau=_TAU),
                    minimality=_keys("eps", "n_probes", "slide_span")),
-    "ode": _keys(tolerances=_keys("rel", "abs"), classify=_CLASSIFY,
+    "ode": _keys(*_COMMON, "rhs", "params", "forcing", "x0", "span", "max_step", "out_dt",
+                 tolerances=_keys("rel", "abs"), classify=_CLASSIFY,
                  condition_h=_keys("kappa", "alpha", "box_lo", "box_hi", "n_pairs", "t_samples"),
                  fiber=_keys("shifts", "x0_set", "horizon", "burn_in", "cluster_tol", "out_dt"),
                  stability=_keys("delta_grid", "eps_grid", "restart_times", "horizon",
                                  "kappa", "alpha")),
-    "dde": _keys(init=_keys("value", "file"), classify=_CLASSIFY),
-    "map": _keys(fiber=_keys("shifts", "x0_set", "burn_in", "cluster_tol"), classify=_CLASSIFY),
-    "roots": _keys(classify=_keys("classify_dt", thresholds=_THRESHOLDS)),
-    "zhikov": _keys(thresholds=_THRESHOLDS),
+    "dde": _keys(*_COMMON, "r", "lags", "weights", "forcing", "horizon", "dt",
+                 init=_keys("value", "file"), classify=_CLASSIFY),
+    "map": _keys(*_COMMON, "map", "params", "forcing", "x0", "n_steps",
+                 fiber=_keys("shifts", "x0_set", "burn_in", "cluster_tol"), classify=_CLASSIFY),
+    "roots": _keys(*_COMMON, "manifest", "coefficients", "t0", "span", "dt", "label",
+                   "alpha_claim", classify=_keys("classify_dt", thresholds=_THRESHOLDS)),
+    "zhikov": _keys(*_COMMON, "signal", "with_decay", "dd_threshold", "classify_dt",
+                    thresholds=_THRESHOLDS),
 }
 
 
-def _check_blocks(spec, blocks, where=""):
-    """ConfigError naming the first unknown key in any block of ``spec``
-    that ``blocks`` lists, nested blocks included."""
-    for name, allowed in blocks.items():
-        if allowed is None or name not in spec:
+def _check_keys(spec, allowed, path=""):
+    """ConfigError naming the first key of ``spec`` that ``allowed`` lacks,
+    then the same for every nested block of ``spec`` that ``allowed`` lists."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        where = f"`{path}`" if path else "the config"
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where} (accepted: "
+                          f"{', '.join(allowed)})", key=unknown[0])
+    for name, sub in allowed.items():
+        if sub is None or name not in spec:
             continue
-        path = f"{where}.{name}" if where else name
-        block = spec[name]
-        if not isinstance(block, dict):
-            raise ConfigError(f"`{path}` must be a mapping", key=name)
-        unknown = sorted(set(block) - set(allowed))
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in `{path}` (accepted: "
-                              f"{', '.join(allowed)})", key=unknown[0])
-        _check_blocks(block, allowed, path)
+        sub_path = f"{path}.{name}" if path else name
+        if not isinstance(spec[name], dict):
+            raise ConfigError(f"`{sub_path}` must be a mapping", key=name)
+        _check_keys(spec[name], sub, sub_path)
 
 
 def _build_tau(tau, **defaults):
@@ -145,25 +154,17 @@ def _classify_after_burn_in(sol, sub):
     return classify(seg, _build_thresholds(sub["thresholds"])).to_dict()
 
 
-def _build_rhs(cfg):
-    from .flows import RhsSpec
-
-    spec = cfg["rhs"]
-    if "forcing_file" in cfg:
-        forcing = read_signal_csv(cfg["forcing_file"])
-    elif "forcing" in cfg:
-        forcing = _build_signal(cfg["forcing"])
-    else:
-        forcing = None
+def _build_field_spec(cls, cfg, key):
+    """``cls`` (RhsSpec or MapSpec) from cfg[key], a catalog id or {expr: [...]},
+    with the config's `params` and `forcing`."""
+    spec = cfg[key]
+    forcing = _build_signal(cfg["forcing"]) if "forcing" in cfg else None
     if isinstance(spec, str):
-        if spec not in RHS_CATALOG:
-            raise ConfigError(f"unknown rhs id {spec!r}", key="rhs")
-        return RhsSpec(f"catalog:{spec}", dim=int(cfg.get("dim", 1)),
-                       params=cfg.get("params", {}), forcing=forcing)
+        return cls(f"catalog:{spec}", params=cfg.get("params", {}), forcing=forcing)
     if isinstance(spec, dict) and "expr" in spec:
-        return RhsSpec("expr", dim=int(cfg.get("dim", 1)), params=cfg.get("params", {}),
-                       expr=tuple(spec["expr"]), forcing=forcing)
-    raise ConfigError("rhs must be a catalog id or {expr: [...]}", key="rhs")
+        return cls("expr", params=cfg.get("params", {}), expr=tuple(spec["expr"]),
+                   forcing=forcing)
+    raise ConfigError(f"{key} must be a catalog id or {{expr: [...]}}", key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +193,7 @@ def _run_omega(cfg, outdir):
     report = {
         "n_members": len(hull.members),
         "window": [hull.window.a, hull.window.b],
-        "max_pairwise": float(np.max(hull.dist)) if len(hull.members) > 1 else 0.0,
+        "max_pairwise": hull.max_pairwise(),
     }
     if "equi_ap" in cfg:
         e = cfg["equi_ap"]
@@ -211,10 +212,10 @@ def _run_omega(cfg, outdir):
 
 
 def _run_ode(cfg, outdir):
-    from .flows import (IVP, ConditionHParams, condition_h_margin, fiber_count,
+    from .flows import (IVP, ConditionHParams, RhsSpec, condition_h_margin, fiber_count,
                         hull_solutions, integrate, uniform_stability_probe)
 
-    rhs = _build_rhs(cfg)
+    rhs = _build_field_spec(RhsSpec, cfg, "rhs")
     x0 = tuple(np.atleast_1d(cfg["x0"]).astype(float))
     tol = cfg.get("tolerances", {})
     ivp = IVP(rhs, x0, Window(0.0, float(cfg["span"])),
@@ -292,9 +293,7 @@ def _run_dde(cfg, outdir):
                        forcing=forcing)
     r = float(cfg["r"])
     init_cfg = cfg["init"]
-    if "init_file" in cfg:
-        init = HistorySegment(r, read_signal_csv(cfg["init_file"]))
-    elif "file" in init_cfg:
+    if "file" in init_cfg:
         init = HistorySegment(r, read_signal_csv(init_cfg["file"]))
     else:
         init = HistorySegment.constant(r, float(init_cfg.get("value", 0.0)))
@@ -311,13 +310,7 @@ def _run_dde(cfg, outdir):
 def _run_map(cfg, outdir):
     from .maps import MapSpec, discrete_fiber_count, iterate
 
-    spec = cfg["map"]
-    forcing = _build_signal(cfg["forcing"]) if "forcing" in cfg else None
-    if isinstance(spec, str):
-        m = MapSpec(f"catalog:{spec}", params=cfg.get("params", {}), forcing=forcing)
-    else:
-        m = MapSpec("expr", params=cfg.get("params", {}), expr=tuple(spec["expr"]),
-                    forcing=forcing)
+    m = _build_field_spec(MapSpec, cfg, "map")
     sol = iterate(m, np.atleast_1d(cfg["x0"]).astype(float), int(cfg["n_steps"]))
     path = outdir / "orbit.csv"
     write_signal_csv(sol, path)

@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteRhsError,
     StepSizeUnderflowError,
 )
-from .signal import SampledSignal, Window, fiber_consensus, leader_clusters, translate
+from .signal import SampledSignal, Window, check_shift, fiber_clusters
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,6 @@ class RhsSpec:
     """
 
     kind: str                      # "catalog:<id>" or "expr"
-    dim: int = 1
     params: dict = field(default_factory=dict)
     expr: tuple = None             # one expression tree per component for kind="expr"
     forcing: SampledSignal = None
@@ -49,13 +48,6 @@ class RhsSpec:
     def build(self):
         return _catalog.build_field(self.kind, _catalog.RHS_CATALOG, "rhs",
                                     self.params, self.expr, self.forcing)
-
-    def shifted(self, h: float):
-        """Same field driven by the h-translated forcing (hull element f^h)."""
-        if self.forcing is None:
-            return self
-        return RhsSpec(self.kind, self.dim, self.params, self.expr,
-                       translate(self.forcing, h))
 
 
 @dataclass(frozen=True)
@@ -276,15 +268,16 @@ def hull_solutions(rhs: RhsSpec, shifts, x0_set, horizon: float,
     """Integrate y' = f^h(t, y) on [0, horizon] for every (shift h, initial state).
 
     All pairs are one stacked solve (:func:`_integrate_family`): the
-    member for shift h reads the field at time t + h. For a catalog field,
-    whose time dependence is its forcing, that is ``rhs.shifted(h)`` for
-    every h on the forcing grid (off the grid, shifted() would re-sample
-    the forcing first); an expression field's ["t"] nodes shift as well.
-    Deterministic order: lexicographic in (shift index, x0 index).
+    member for shift h reads the field at time t + h, forcing and ["t"]
+    nodes alike, which is the hull element f^h(t, x) = f(t + h, x). With a
+    forcing, h < 0 raises ValueError and h past the forcing's span raises
+    EmptyDomainError. Deterministic order: lexicographic in (shift index,
+    x0 index).
     """
     shifts = [float(h) for h in shifts]
-    for h in shifts:
-        rhs.shifted(h)   # refuses h < 0 and h past the forcing's span
+    if rhs.forcing is not None:
+        for h in shifts:
+            check_shift(rhs.forcing, h)
     x0s = [tuple(np.atleast_1d(np.asarray(x0, dtype=float))) for x0 in x0_set]
     pairs = [(h, x0) for h in shifts for x0 in x0s]
     if not pairs:
@@ -322,26 +315,13 @@ def fiber_count(runs, burn_in: float, cluster_tol: float) -> FiberReport:
     """Cluster trailing solution segments per base shift; count fiber points.
 
     The consensus m is the count shared by every shift; non-constant counts
-    are flagged (constant=False) and the modal count reported.
+    are flagged (constant=False) and the modal count reported. Shifts are
+    reported in increasing order.
     """
-    by_shift = {}
-    for run in runs:
-        by_shift.setdefault(run.shift, []).append(run)
-    per_shift = {}
-    reps = {}
-    for h, rs in sorted(by_shift.items()):
-        segs = []
-        for run in rs:
-            dom = run.sol.domain
-            if burn_in >= dom.b:
-                raise ValueError(f"burn-in {burn_in} swallows the whole horizon {dom.b}")
-            segs.append(run.sol.restrict(Window(burn_in, dom.b)))
-        w = segs[0].domain
-        leaders = [segs[cl[0]] for cl in leader_clusters(segs, w, cluster_tol)]
-        per_shift[h] = len(leaders)
-        reps[h] = leaders
-    m, constant = fiber_consensus(per_shift)
-    return FiberReport(per_shift, m, constant, reps)
+    runs = sorted(runs, key=lambda run: run.shift)   # stable: x0 order kept per shift
+    reps, m, constant = fiber_clusters([(run.shift, run.sol) for run in runs],
+                                       burn_in, cluster_tol)
+    return FiberReport({h: len(ls) for h, ls in reps.items()}, m, constant, reps)
 
 
 def uniform_stability_probe(rhs: RhsSpec, ref: SampledSignal, delta_grid, eps_grid,

@@ -12,7 +12,7 @@ import numpy as np
 from . import _kernels
 from . import catalog as _catalog
 from .errors import NonFiniteValueError
-from .signal import SampledSignal, Window, fiber_consensus, leader_clusters, translate
+from .signal import SampledSignal, check_shift, fiber_clusters
 
 #: overflow guard: iteration aborts when any |u| exceeds this
 OVERFLOW_LIMIT = 1e12
@@ -23,7 +23,6 @@ class MapSpec:
     """Update rule: catalog id or expression tree, with integer-grid forcing."""
 
     kind: str
-    dim: int = 1
     params: dict = field(default_factory=dict)
     expr: tuple = None
     forcing: SampledSignal = None
@@ -32,27 +31,36 @@ class MapSpec:
         return _catalog.build_field(self.kind, _catalog.MAP_CATALOG, "map",
                                     self.params, self.expr, self.forcing)
 
-    def shifted(self, h: int):
-        if self.forcing is None:
-            return self
-        return MapSpec(self.kind, self.dim, self.params, self.expr,
-                       translate(self.forcing, float(h)))
-
 
 def iterate(m: MapSpec, u0, n_steps: int) -> SampledSignal:
-    """Exact iteration for n_steps; the label carries the map id."""
+    """Exact iteration for n_steps: the one-member case of :func:`_iterate_family`."""
+    return _iterate_family(m, [u0], [0.0], n_steps)[0]
+
+
+def _iterate_family(m: MapSpec, u0s, offsets, n_steps: int):
+    """Orbits of u(t+1) = g(t + offsets[k], u(t)), u(0) = u0s[k], one per member.
+
+    The K states are one (K, d) stack, so each step is one call of the map
+    (with a scalar time when all offsets agree). Iteration aborts when any
+    member leaves the finite range below OVERFLOW_LIMIT. The orbits' label
+    carries the map id.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     g = m.build()
-    u = np.atleast_1d(np.asarray(u0, dtype=float))
-    out = np.empty((n_steps + 1, len(u)))
+    u = np.asarray(u0s, dtype=float).reshape(len(u0s), -1)
+    offsets = np.asarray(offsets, dtype=float)
+    if np.all(offsets == offsets[0]):   # one shared time: the map gets a scalar t
+        offsets = float(offsets[0])
+    out = np.empty((n_steps + 1,) + u.shape)
     out[0] = u
     for t in range(n_steps):
-        u = np.atleast_1d(np.asarray(g(float(t), u), dtype=float))
+        u = np.asarray(g(float(t) + offsets, u), dtype=float)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > OVERFLOW_LIMIT:
             raise NonFiniteValueError(f"iterate blew up at step {t + 1}")
         out[t + 1] = u
-    return SampledSignal(t0=0.0, dt=1.0, values=out, label=f"map:{m.kind}")
+    return [SampledSignal(t0=0.0, dt=1.0, values=out[:, k], label=f"map:{m.kind}")
+            for k in range(len(u))]
 
 
 def asymptotic_period(seg: SampledSignal, tol: float) -> int:
@@ -84,23 +92,19 @@ def discrete_fiber_count(m: MapSpec, shifts, x0_set, n_steps: int, burn_in: int,
                          cluster_tol: float) -> DiscreteFiberReport:
     """Fiber counts per integer base shift plus asymptotic periods.
 
-    Clusters the trailing orbit segments started from x0_set under the
-    shifted forcing; for each representative the least period p with
+    The orbit for shift h iterates the hull element g(t + h, u); all
+    (shift, x0) orbits are one stacked iteration, clustered per shift in
+    the given order. For each representative the least period p with
     translate-by-p distance below cluster_tol is recorded (0 = none found).
     """
     if burn_in >= n_steps:
         raise ValueError("burn-in must be smaller than n_steps")
-    per_shift = {}
-    periods = {}
-    for h in shifts:
-        mh = m.shifted(int(h))
-        segs = []
-        for x0 in x0_set:
-            sol = iterate(mh, x0, n_steps)
-            segs.append(sol.restrict(Window(float(burn_in), float(n_steps))))
-        w = segs[0].domain
-        leaders = [segs[cl[0]] for cl in leader_clusters(segs, w, cluster_tol)]
-        per_shift[int(h)] = len(leaders)
-        periods[int(h)] = [asymptotic_period(l, cluster_tol) for l in leaders]
-    mm, constant = fiber_consensus(per_shift)
-    return DiscreteFiberReport(per_shift, mm, constant, periods)
+    shifts = [int(h) for h in shifts]
+    if m.forcing is not None:
+        for h in shifts:
+            check_shift(m.forcing, float(h))
+    hs = [h for h in shifts for _ in x0_set]
+    orbits = _iterate_family(m, [x0 for _ in shifts for x0 in x0_set], hs, n_steps)
+    leaders, mm, constant = fiber_clusters(zip(hs, orbits), float(burn_in), cluster_tol)
+    periods = {h: [asymptotic_period(l, cluster_tol) for l in ls] for h, ls in leaders.items()}
+    return DiscreteFiberReport({h: len(ls) for h, ls in leaders.items()}, mm, constant, periods)

@@ -11,6 +11,7 @@ silently asserted.
 
 import csv as _csv
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -389,15 +390,28 @@ class HullSample:
     """Finite family of shifted signals approximating the omega-limit set.
 
     members are cluster representatives (medoids) restricted to a common
-    comparison window; dist is their pairwise sup-distance matrix there.
+    comparison window.
     """
 
     members: list
     shifts: np.ndarray
-    dist: np.ndarray
     window: Window
-    cluster_tol: float
-    cluster_sizes: list
+
+    def max_pairwise(self) -> float:
+        """Largest sup distance on the window between two members; 0 for one.
+
+        Real scalar members on one grid take max_t (max_i a_i - min_i a_i),
+        bit-equal to the pairwise sups since rounded subtraction is monotone;
+        complex, vector or misaligned members take the pairwise sups.
+        """
+        ms = self.members
+        if len({(m.t0, m.dt, len(m), m.dim, m.is_complex()) for m in ms}) == 1 \
+                and ms[0].dim == 1 and not ms[0].is_complex():
+            i0, i1 = ms[0].window_slice(self.window)
+            cols = [m.values[i0:i1 + 1, 0] for m in ms]
+            return float(np.max(reduce(np.maximum, cols) - reduce(np.minimum, cols)))
+        return max((sup_distance(a, b, self.window) for i, a in enumerate(ms) for b in ms[i + 1:]),
+                   default=0.0)
 
 
 def omega_limit_sample(s: SampledSignal, shift_grid, window_len: float,
@@ -421,9 +435,6 @@ def omega_limit_sample(s: SampledSignal, shift_grid, window_len: float,
 
     rep_idx = []
     for cl in clusters:
-        if len(cl) == 1:
-            rep_idx.append(cl[0])
-            continue
         sub = cl[:40]  # medoid over a deterministic subsample for big clusters
         dmat = np.zeros((len(sub), len(sub)))
         for a in range(len(sub)):
@@ -431,15 +442,7 @@ def omega_limit_sample(s: SampledSignal, shift_grid, window_len: float,
                 dmat[a, b] = dmat[b, a] = sup_distance(members[sub[a]], members[sub[b]], w)
         rep_idx.append(sub[int(np.argmin(dmat.sum(axis=1)))])
 
-    reps = [members[i] for i in rep_idx]
-    rep_shifts = shifts[rep_idx]
-    n = len(reps)
-    dist = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            dist[a, b] = dist[b, a] = sup_distance(reps[a], reps[b], w)
-    return HullSample(reps, rep_shifts, dist, w, cluster_tol,
-                      [len(c) for c in clusters])
+    return HullSample([members[i] for i in rep_idx], shifts[rep_idx], w)
 
 
 def equi_ap_test(hull: HullSample, eps: float, cands: TauSpec,

@@ -151,10 +151,6 @@ class SampledSignal:
         fr = (pos - k)[..., None]
         return (1.0 - fr) * self.values[k] + fr * self.values[k + 1]
 
-    def rebase(self, new_t0):
-        """Same samples, re-anchored at new_t0 (pure relabeling of time)."""
-        return SampledSignal(t0=new_t0, dt=self.dt, values=self.values, label=self.label)
-
     def resample(self, new_dt, label=None):
         """Linear-interpolation resample onto a coarser/finer uniform grid."""
         n_new = int(np.floor(self.span / new_dt + GRID_RTOL)) + 1
@@ -214,6 +210,14 @@ def shift_values(v, dt, h, last=None):
     return (1.0 - fr) * v[k + i:k + m] + fr * v[k + 1 + i:k + 1 + m]
 
 
+def check_shift(s: SampledSignal, h: float) -> None:
+    """Raise as :func:`translate` does for h < 0 or h past the span."""
+    if h < 0:
+        raise ValueError("translation requires h >= 0")
+    if shift_offset(len(s), s.dt, h)[2] == 0:
+        raise EmptyDomainError(f"translation by h={h} exceeds span {s.span}")
+
+
 def translate(s: SampledSignal, h: float) -> SampledSignal:
     """The h-translation t -> s(t + h) on the surviving domain.
 
@@ -221,14 +225,11 @@ def translate(s: SampledSignal, h: float) -> SampledSignal:
     off-grid values come from linear interpolation between neighbours. The
     result keeps the original grid phase and start time.
     """
-    if h < 0:
-        raise ValueError("translation requires h >= 0")
+    check_shift(s, h)
     if h == 0:
         return s
-    vals = shift_values(s.values, s.dt, h)
-    if len(vals) == 0:
-        raise EmptyDomainError(f"translation by h={h} exceeds span {s.span}")
-    return SampledSignal(t0=s.t0, dt=s.dt, values=vals, label=s.label)
+    return SampledSignal(t0=s.t0, dt=s.dt, values=shift_values(s.values, s.dt, h),
+                         label=s.label)
 
 
 def _aligned_values(s1: SampledSignal, s2: SampledSignal, w: Window):
@@ -283,12 +284,23 @@ def leader_clusters(members, w: Window, tol: float):
     return clusters
 
 
-def fiber_consensus(per_shift):
-    """(m, constant): the cluster count shared by every shift, else the modal count."""
-    counts = sorted(set(per_shift.values()))
-    if len(counts) == 1:
-        return counts[0], True
-    return int(np.argmax(np.bincount(list(per_shift.values())))), False
+def fiber_clusters(runs, burn_in: float, tol: float):
+    """(leaders, m, constant) of (shift, solution) pairs grouped by shift.
+
+    Each group's solutions are restricted to [burn_in, end] and
+    leader-clustered within tol; ``leaders`` maps each shift, in order of
+    first appearance, to its leader segments. m is the leader count shared
+    by every shift (constant=True), else the modal count, the least on ties.
+    """
+    groups = {}
+    for h, sol in runs:
+        if burn_in >= sol.t_end:
+            raise ValueError(f"burn-in {burn_in} swallows the whole horizon {sol.t_end}")
+        groups.setdefault(h, []).append(sol.restrict(Window(burn_in, sol.t_end)))
+    leaders = {h: [segs[cl[0]] for cl in leader_clusters(segs, segs[0].domain, tol)]
+               for h, segs in groups.items()}
+    counts = [len(ls) for ls in leaders.values()]
+    return leaders, int(np.argmax(np.bincount(counts))), len(set(counts)) == 1
 
 
 def common_domain(s1: SampledSignal, s2: SampledSignal) -> Window:

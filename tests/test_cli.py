@@ -211,6 +211,33 @@ def test_misspelt_key_in_any_block_exits_two_from_validate_and_run(source, block
     assert not (tmp_path / cfg.get("output_dir", "exp")).exists()
 
 
+#: (shipped config or builder, top-level key its kind does not read); dim,
+#: forcing_file and init_file are retired keys
+TOP_LEVEL_KEYS = [
+    ("ode_condition_h", "tolerence"),
+    ("ode_condition_h", "dim"),
+    ("ode_condition_h", "forcing_file"),
+    (small_dde_cfg, "init_file"),
+    ("map_corom1_periodic", "dim"),
+    ("omega_heq1_forcing", "thresholds"),
+]
+
+
+@pytest.mark.parametrize("source, key", TOP_LEVEL_KEYS,
+                         ids=[f"{getattr(c, '__name__', c)}:{k}" for c, k in TOP_LEVEL_KEYS])
+def test_unknown_top_level_key_exits_two_from_validate_and_run(source, key, tmp_path, capsys):
+    if callable(source):
+        cfg = source()
+    else:
+        cfg = yaml.safe_load((CONFIG_DIR / f"{source}.yaml").read_text())
+    cfg[key] = 1
+    path = write_cfg(tmp_path, cfg)
+    for command in (["validate", str(path)], ["run", str(path), "--output-root", str(tmp_path)]):
+        assert main(command) == 2
+        assert f"config error ({key}): unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / cfg.get("output_dir", "exp")).exists()
+
+
 def test_block_that_is_not_a_mapping_is_refused(tmp_path):
     cfg = small_dde_cfg()
     cfg["init"] = 1.0

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from recurlab import maps
 from recurlab.catalog import build_forcing
-from recurlab.errors import NonFiniteValueError
+from recurlab.errors import EmptyDomainError, NonFiniteValueError
+from recurlab.flows import IVP, RhsSpec, hull_solutions, integrate
 from recurlab.maps import MapSpec, asymptotic_period, discrete_fiber_count, iterate
 from recurlab.recurrence import TauSpec, translation_set_remote
-from recurlab.signal import SampledSignal
+from recurlab.signal import SampledSignal, Window, translate
 
 
 def test_iterate_halving():
@@ -100,3 +102,68 @@ def test_discrete_drifting_sine_is_rap_with_integer_translations():
     accepted = set(ts.accepted_taus().astype(int))
     # 44 ~ 7 * 2*pi is the classic near-period
     assert 44 in accepted
+
+
+# ---------------------------------------------------------------------------
+# hull translates: member k reads the system at t + h_k
+# ---------------------------------------------------------------------------
+
+def _time_shifted_sine(h):
+    # x -> -x + sin(t + h) as an expression tree; h = 0 keeps the ["t"] node bare
+    t = ["t"] if h == 0 else ["+", ["t"], ["const", h]]
+    return ["+", ["*", ["const", -1.0], ["x", 0]], ["sin", t]]
+
+
+def test_hull_translate_shifts_the_time_nodes_of_maps_and_flows(monkeypatch):
+    # the translate g^h(t, u) = g(t + h, u) must move ["t"] nodes too, not
+    # only the forcing: u -> 0.5 u + sin t with h = 3 drifts 2.63 away from
+    # the true translate in 40 steps when only the forcing moves
+    h, n = 3, 40
+    m = MapSpec("expr", expr=(["+", ["*", ["const", 0.5], ["x", 0]], ["sin", ["t"]]],))
+    orbits = []
+    clusters = maps.fiber_clusters
+
+    def record(runs, burn_in, tol):
+        runs = list(runs)
+        orbits.extend(runs)
+        return clusters(runs, burn_in, tol)
+
+    monkeypatch.setattr(maps, "fiber_clusters", record)
+    discrete_fiber_count(m, [0, h], [np.array([0.2])], n_steps=n, burn_in=30,
+                         cluster_tol=1e-6)
+    assert [k for k, _ in orbits] == [0, h]
+    written = MapSpec("expr", expr=(["+", ["*", ["const", 0.5], ["x", 0]],
+                                     ["sin", ["+", ["t"], ["const", float(h)]]]],))
+    assert np.array_equal(orbits[1][1].values, iterate(written, 0.2, n).values)
+    assert np.array_equal(orbits[0][1].values, iterate(m, 0.2, n).values)
+
+    # flows: a hull member is the solo run of the written-out f(t + h, x)
+    rhs = RhsSpec("expr", expr=(_time_shifted_sine(0),))
+    member = hull_solutions(rhs, [2.5], [(0.3,)], 10.0, out_dt=0.01)[0].sol
+    solo = integrate(IVP(RhsSpec("expr", expr=(_time_shifted_sine(2.5),)), (0.3,),
+                         Window(0.0, 10.0), out_dt=0.01))
+    assert np.array_equal(member.values, solo.values)
+
+
+@pytest.mark.parametrize("fid", ["alternating", "heq1_forcing"])
+def test_stacked_iteration_equals_per_member_iterate(fid):
+    # K members in one loop give the solo orbits bit for bit: offset 0 is
+    # iterate itself, offset h is iterate under the h-translated forcing
+    f = build_forcing(fid, 0.0, 130.0, 1.0)
+    m = MapSpec("catalog:affine", params={"a": 0.5}, forcing=f)
+    x0s = [np.array([0.0]), np.array([1.0]), np.array([-2.0])]
+    for hs in ([0, 0, 0], [0, 1, 7]):
+        orbits = maps._iterate_family(m, x0s, hs, 60)
+        for h, x0, orbit in zip(hs, x0s, orbits):
+            solo = iterate(MapSpec("catalog:affine", params={"a": 0.5},
+                                   forcing=translate(f, float(h))), x0, 60)
+            assert np.array_equal(orbit.values, solo.values)
+            assert orbit.label == solo.label
+
+
+def test_discrete_fiber_count_refuses_shifts_outside_the_forcing():
+    m = MapSpec("catalog:affine", forcing=build_forcing("alternating", 0.0, 30.0, 1.0))
+    with pytest.raises(ValueError):
+        discrete_fiber_count(m, [-1], [np.array([0.0])], n_steps=10, burn_in=5, cluster_tol=0.1)
+    with pytest.raises(EmptyDomainError):
+        discrete_fiber_count(m, [31], [np.array([0.0])], n_steps=10, burn_in=5, cluster_tol=0.1)

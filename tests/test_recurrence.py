@@ -198,6 +198,45 @@ def test_omega_sample_of_decay_is_single_cluster():
     assert np.max(np.abs(hull.members[0].values)) < 1e-9
 
 
+def _pairwise_sup_max(hull):
+    ms = hull.members
+    return max(sup_distance(a, b, hull.window) for i, a in enumerate(ms) for b in ms[i + 1:])
+
+
+def test_max_pairwise_of_a_real_hull_is_the_pairwise_sup_max_bit_for_bit(monkeypatch):
+    from recurlab import catalog, recurrence
+
+    s = catalog.build_forcing("heq1_forcing", 19000.0, 19600.0, 0.1)
+    hull = omega_limit_sample(s, 100.0 + 0.5025 * np.arange(12), window_len=400.0,
+                              cluster_tol=0.02)
+    assert len(hull.members) == 12
+    want = _pairwise_sup_max(hull)
+    calls = []
+    monkeypatch.setattr(recurrence, "sup_distance", lambda *a: calls.append(a))
+    assert hull.max_pairwise() == want   # the range identity: no pairwise sup
+    assert calls == []
+
+
+def test_max_pairwise_of_a_complex_hull_takes_the_pairwise_sups(monkeypatch):
+    from recurlab import recurrence
+    from recurlab.recurrence import HullSample
+
+    members = [SampledSignal.from_function(lambda t, c=c: np.exp(1j * (t + c)), 0.0, 50.0, 0.01)
+               for c in (0.0, 0.4, 2.0, 3.0)]
+    hull = HullSample(members, np.zeros(4), Window(0.0, 50.0))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sup_distance(*args)
+
+    monkeypatch.setattr(recurrence, "sup_distance", counted)
+    assert hull.max_pairwise() == _pairwise_sup_max(hull)
+    assert len(calls) == 6
+    assert hull.max_pairwise() == pytest.approx(2 * np.sin(1.5), abs=1e-4)
+    assert HullSample(members[:1], np.zeros(1), Window(0.0, 50.0)).max_pairwise() == 0.0
+
+
 def test_equi_ap_of_sine_hull():
     s = SampledSignal.from_function(np.sin, 0.0, 1500.0, 0.005)
     shifts = 100.0 + np.arange(0, TWO_PI, 0.2)
@@ -216,8 +255,7 @@ def test_equi_ap_joint_two_frequencies():
     W = 26000.0
     base = SampledSignal.from_function(np.sin, 0.0, W, 0.02)
     other = SampledSignal.from_function(lambda t: np.sin(np.sqrt(3) * t), 0.0, W, 0.02)
-    hull = HullSample([base, other], np.array([0.0, 0.0]),
-                      np.zeros((2, 2)), Window(0.0, W), 0.01, [1, 1])
+    hull = HullSample([base, other], np.array([0.0, 0.0]), Window(0.0, W))
     flag, ts = equi_ap_test(hull, 0.01, TauSpec(lo=TWO_PI, hi=6400.0, step=TWO_PI,
                                                 refine=True))
     assert flag
@@ -285,7 +323,7 @@ def _sin_family_hull(t1, dt, n_phases=40):
                for c in np.linspace(0, TWO_PI, n_phases, endpoint=False)]
     w = Window(0.0, t1)
     n = len(members)
-    return HullSample(members, np.zeros(n), np.zeros((n, n)), w, 0.05, [1] * n)
+    return HullSample(members, np.zeros(n), w)
 
 
 def test_aap_test_accepts_sin_plus_decay():
@@ -309,7 +347,7 @@ def test_aap_zero_signal_decomposes_with_zero_part():
     from recurlab.recurrence import HullSample
 
     z = SampledSignal(t0=0.0, dt=0.01, values=np.zeros(40001))
-    hull = HullSample([z], np.zeros(1), np.zeros((1, 1)), Window(0, 400), 0.05, [1])
+    hull = HullSample([z], np.zeros(1), Window(0, 400))
     flag, residual, _ = aap_test(z, hull, 0.05)
     assert flag and residual == 0.0
 
@@ -327,7 +365,7 @@ def test_aap_test_raises_on_non_ap_hull():
 
     s = SampledSignal.from_function(np.sin, 0.0, 400.0, 0.005)
     bad = SampledSignal.from_function(lambda t: np.sin(0.01 * t * t), 0.0, 400.0, 0.005)
-    hull = HullSample([bad], np.zeros(1), np.zeros((1, 1)), Window(0, 400), 0.05, [1])
+    hull = HullSample([bad], np.zeros(1), Window(0, 400))
     with pytest.raises(HullNotAPError):
         aap_test(s, hull, 0.05)
 
@@ -493,7 +531,7 @@ def test_translation_sets_match_a_direct_oracle(seed, eps, refine, step):
     members = [SampledSignal.from_function(np.sin, t0, t0 + 200.0, 0.05),
                SampledSignal.from_function(lambda t: np.sin(t) + a * np.sin(w * t),
                                            t0, t0 + 200.0, 0.05)]
-    hull = HullSample(members, np.zeros(2), np.zeros((2, 2)), members[0].domain, 0.05, [1, 1])
+    hull = HullSample(members, np.zeros(2), members[0].domain)
     _, joint = equi_ap_test(hull, eps, cands)
     for e in joint.entries:
         sups = [float(np.max(_direct_d(m, e.tau))) for m in members]
