@@ -128,7 +128,7 @@ def min_sliding_probe(src, target_sub, offsets, probe):
 
 
 # ---------------------------------------------------------------------------
-# batched polynomial roots (companion-matrix eigenvalues + Newton polish)
+# batched polynomial roots (closed forms, companion eigenvalues, Newton polish)
 # ---------------------------------------------------------------------------
 
 def horner(coefs, z):
@@ -136,21 +136,58 @@ def horner(coefs, z):
 
     ``coefs`` is (N, n) with rows a_1..a_n; ``z`` is (N, m) points.
     """
-    p = np.ones_like(z)
-    dp = np.zeros_like(z)
-    for j in range(coefs.shape[1]):
-        dp = dp * z + p
-        p = p * z + coefs[:, j][:, None]
+    p = z + coefs[:, :1]
+    dp = np.ones_like(z)
+    for j in range(1, coefs.shape[1]):
+        dp *= z
+        dp += p
+        p *= z
+        p += coefs[:, j, None]
     return p, dp
+
+
+def _ldexp(z, e):
+    """z * 2**e for complex z and integer e, exact unless the result under- or overflows."""
+    out = np.empty_like(z)
+    out.real = np.ldexp(z.real, e)
+    out.imag = np.ldexp(z.imag, e)
+    return out
+
+
+def _quadratic_roots(b, c):
+    """Both roots of x^2 + b x + c, (N, 2), by the cancellation-free formula.
+
+    q = -(b + sigma sqrt(b^2 - 4c)) / 2 with sigma = +-1 chosen so that
+    Re(conj(b) sigma sqrt) >= 0, which makes q the larger root; the other
+    is c / q (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sec. 1.8). b and c are first scaled by 2^-e and 2^-2e, with 2^e
+    the magnitude of the largest of |b| and sqrt|c|, so b^2 and 4c cannot
+    overflow. The scaled q has modulus in [1/4, 3], and c / q is taken as
+    (c 2^-e) / (q 2^-e): neither a tiny c nor a subnormal q can under- or
+    overflow the division. Both roots are 0 when q is.
+    """
+    m = np.maximum(np.maximum(np.abs(b.real), np.abs(b.imag)),
+                   np.sqrt(np.maximum(np.abs(c.real), np.abs(c.imag))))
+    e = np.frexp(m)[1]
+    bs = _ldexp(b, -e)
+    r = np.sqrt(bs * bs - 4.0 * _ldexp(c, -2 * e))
+    r = np.where((bs.conj() * r).real >= 0.0, r, -r)
+    qs = -0.5 * (bs + r)
+    return np.column_stack([_ldexp(qs, e),
+                            np.divide(_ldexp(c, -e), qs, out=np.zeros_like(qs), where=qs != 0)])
 
 
 def aberth_grid(coefs):
     """Roots of monic polynomials along a coefficient path, (N, n) complex.
 
     ``coefs[g]`` holds a_1..a_n of x^n + a_1 x^(n-1) + ... + a_n at grid
-    point g. Every point's companion matrix goes through one batched
-    ``np.linalg.eigvals`` call (Edelman & Murakami, Math. Comp. 1995),
-    then two guarded Newton steps polish the roots. Root ORDER per point
+    point g. The degree picks the root source: -a_1 for n = 1, the
+    scaled cancellation-free closed form for n = 2
+    (:func:`_quadratic_roots`), and above that one batched
+    ``np.linalg.eigvals`` call on the companion matrices (Edelman &
+    Murakami, Math. Comp. 1995), real when no coefficient has an
+    imaginary part, so that complex roots come in exact conjugate pairs.
+    Every degree then gets two guarded Newton steps. Root ORDER per point
     is arbitrary; callers needing continuity must match. Raises
     ``np.linalg.LinAlgError`` on non-finite coefficients or when the
     eigenvalue iteration fails. The Aberth-Ehrlich iteration this replaced
@@ -158,15 +195,23 @@ def aberth_grid(coefs):
     the root-solving layer by it.
     """
     coefs = np.ascontiguousarray(coefs, dtype=np.complex128)
+    if not np.all(np.isfinite(coefs)):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     N, n = coefs.shape
-    comp = np.zeros((N, n, n), dtype=np.complex128)
-    comp[:, 0, :] = -coefs
-    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    z = np.linalg.eigvals(comp)
+    if n == 1:
+        z = -coefs
+    elif n == 2:
+        z = _quadratic_roots(coefs[:, 0], coefs[:, 1])
+    else:
+        real = not np.any(coefs.imag)
+        comp = np.zeros((N, n, n), dtype=np.float64 if real else np.complex128)
+        comp[:, 0, :] = -(coefs.real if real else coefs)
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        z = np.linalg.eigvals(comp).astype(np.complex128, copy=False)
     for _ in range(2):
         p, dp = horner(coefs, z)
         safe = np.abs(dp) > 1e-12 * (1.0 + np.abs(p))
-        step = np.where(safe, p / np.where(dp == 0, 1.0, dp), 0.0)
+        step = np.divide(p, dp, out=np.zeros_like(p), where=safe)
         step = np.where(np.abs(step) < 1.0 + np.abs(z), step, 0.0)
         z = z - step
     return z

@@ -1,10 +1,12 @@
 """Time-varying monic polynomial equations: roots, discriminant, branches.
 
 x^n + a_1(t) x^(n-1) + ... + a_n(t) = 0 with complex coefficient paths.
-Roots come from the eigenvalues of each grid point's companion matrix,
-Newton-polished and checked against a residual gate; every point is
-solved independently. Continuous branches come from optimal assignment
-between consecutive root multisets. Near discriminant zeros the step
+Roots come in closed form up to degree 2 and from the eigenvalues of
+each grid point's companion matrix above that (real matrices for real
+paths), Newton-polished and checked against a residual gate; every point
+is solved independently. Continuous branches come from optimal
+assignment between consecutive root multisets, composed along the grid
+over the steps that move a root. Near discriminant zeros the step
 guard refuses to fabricate branches and reports the offending interval
 instead.
 """
@@ -132,9 +134,10 @@ def _gated_roots(coefs, where=""):
     try:
         roots = _kernels.aberth_grid(coefs)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"companion eigenvalues failed{where}: {exc}") from exc
+        raise NonConvergenceError(f"root solve failed{where}: {exc}") from exc
     res = np.abs(_kernels.horner(coefs, roots)[0])
-    scale = RESIDUAL_RTOL * (1.0 + np.max(np.abs(coefs), axis=1)) ** coefs.shape[1]
+    with np.errstate(over="ignore"):  # a scale past the float range refuses no finite residual
+        scale = RESIDUAL_RTOL * (1.0 + np.max(np.abs(coefs), axis=1)) ** coefs.shape[1]
     worst = float(np.max(res / scale[:, None]))
     if not worst <= 1.0:
         raise NonConvergenceError(
@@ -226,12 +229,18 @@ def _compose_branches(raw, steps):
     """Branch matrix where root raw[k-1][i] continues as raw[k][steps[k-1][i]].
 
     Branches start in canonical order: the raw[0] roots sorted by real
-    part, then imaginary part.
+    part, then imaginary part. An identity step leaves the composed map as
+    it was, so only the start and the steps that move a root are composed;
+    every other row repeats the last composed map before it.
     """
-    q = np.empty(raw.shape, dtype=np.intp)
+    n = raw.shape[1]
+    moved = np.flatnonzero(np.any(steps != np.arange(n), axis=1)) + 1
+    q = np.empty((len(moved) + 1, n), dtype=np.intp)
     q[0] = np.lexsort((raw[0].imag.round(12), raw[0].real.round(12)))
-    q[1:] = steps
-    return np.take_along_axis(raw, _prefix_compose(q), axis=1)
+    q[1:] = steps[moved - 1]
+    last = np.zeros(raw.shape[0], dtype=np.intp)
+    last[moved] = 1
+    return np.take_along_axis(raw, _prefix_compose(q)[np.cumsum(last)], axis=1)
 
 
 def _match_small_degree(raw, perms):

@@ -79,10 +79,13 @@ def _build_signal(spec):
 
 def _keys(*names, **blocks):
     """Accepted keys of a config block: plain keys map to None, nested blocks
-    to their own accepted keys."""
+    to their own accepted keys, lists of blocks to a one-element list of them."""
     return {**dict.fromkeys(names), **blocks}
 
 
+#: a signal spec (`signal`, and `forcing` of the system kinds) and one roots coefficient
+_SIGNAL = _keys("file", "forcing", "t0", "t1", "dt", "params")
+_COEFFICIENT = _keys("file", "expr", "forcing", "params", "scale", "offset")
 _SCALAR_THRESHOLDS = ("gap_bound_factor", "range_bound", "equicontinuity_bound")
 _TAU = _keys("lo", "hi", "step", "refine")
 _THRESHOLDS = _keys("epsilon_grid", "stationary_taus", *_SCALAR_THRESHOLDS, tau=_TAU)
@@ -93,32 +96,33 @@ _COMMON = ("schema", "kind", "seed", "output_dir", "assertions")
 #: the keys each kind reads, nested blocks with their own accepted keys;
 #: load_config refuses any other key, at the top level or inside a block
 _CONFIG_KEYS = {
-    "classify": _keys(*_COMMON, "signal", "restrict", "write_translation_set",
+    "classify": _keys(*_COMMON, "restrict", "write_translation_set", signal=_SIGNAL,
                       thresholds=_THRESHOLDS),
-    "omega": _keys(*_COMMON, "signal", "window_len", "cluster_tol",
+    "omega": _keys(*_COMMON, "window_len", "cluster_tol", signal=_SIGNAL,
                    shifts=_keys("start", "step", "n"),
                    equi_ap=_keys("eps", "gap_bound_factor", tau=_TAU),
                    minimality=_keys("eps", "n_probes", "slide_span")),
-    "ode": _keys(*_COMMON, "rhs", "params", "forcing", "x0", "span", "max_step", "out_dt",
-                 tolerances=_keys("rel", "abs"), classify=_CLASSIFY,
+    "ode": _keys(*_COMMON, "rhs", "params", "x0", "span", "max_step", "out_dt",
+                 forcing=_SIGNAL, tolerances=_keys("rel", "abs"), classify=_CLASSIFY,
                  condition_h=_keys("kappa", "alpha", "box_lo", "box_hi", "n_pairs", "t_samples"),
                  fiber=_keys("shifts", "x0_set", "horizon", "burn_in", "cluster_tol", "out_dt"),
                  stability=_keys("delta_grid", "eps_grid", "restart_times", "horizon",
                                  "kappa", "alpha")),
-    "dde": _keys(*_COMMON, "r", "lags", "weights", "forcing", "horizon", "dt",
+    "dde": _keys(*_COMMON, "r", "lags", "weights", "horizon", "dt", forcing=_SIGNAL,
                  init=_keys("value", "file"), classify=_CLASSIFY),
-    "map": _keys(*_COMMON, "map", "params", "forcing", "x0", "n_steps",
+    "map": _keys(*_COMMON, "map", "params", "x0", "n_steps", forcing=_SIGNAL,
                  fiber=_keys("shifts", "x0_set", "burn_in", "cluster_tol"), classify=_CLASSIFY),
-    "roots": _keys(*_COMMON, "manifest", "coefficients", "t0", "span", "dt", "label",
-                   "alpha_claim", classify=_keys("classify_dt", thresholds=_THRESHOLDS)),
-    "zhikov": _keys(*_COMMON, "signal", "with_decay", "dd_threshold", "classify_dt",
+    "roots": _keys(*_COMMON, "manifest", "t0", "span", "dt", "label", "alpha_claim",
+                   coefficients=[_COEFFICIENT],
+                   classify=_keys("classify_dt", thresholds=_THRESHOLDS)),
+    "zhikov": _keys(*_COMMON, "with_decay", "dd_threshold", "classify_dt", signal=_SIGNAL,
                     thresholds=_THRESHOLDS),
 }
 
 
 def _check_keys(spec, allowed, path=""):
     """ConfigError naming the first key of ``spec`` that ``allowed`` lacks,
-    then the same for every nested block of ``spec`` that ``allowed`` lists."""
+    then the same for every nested block, or block of a list, that ``allowed`` lists."""
     unknown = sorted(set(spec) - set(allowed))
     if unknown:
         where = f"`{path}`" if path else "the config"
@@ -128,9 +132,16 @@ def _check_keys(spec, allowed, path=""):
         if sub is None or name not in spec:
             continue
         sub_path = f"{path}.{name}" if path else name
-        if not isinstance(spec[name], dict):
-            raise ConfigError(f"`{sub_path}` must be a mapping", key=name)
-        _check_keys(spec[name], sub, sub_path)
+        blocks = {sub_path: spec[name]}
+        if isinstance(sub, list):
+            if not isinstance(spec[name], list):
+                raise ConfigError(f"`{sub_path}` must be a list", key=name)
+            sub = sub[0]
+            blocks = {f"{sub_path}.{i}": block for i, block in enumerate(spec[name])}
+        for block_path, block in blocks.items():
+            if not isinstance(block, dict):
+                raise ConfigError(f"`{block_path}` must be a mapping", key=name)
+            _check_keys(block, sub, block_path)
 
 
 def _build_tau(tau, **defaults):
@@ -334,13 +345,9 @@ def _coeff_signal(spec, t0, t1, dt):
     if "expr" in spec:
         from .catalog import eval_expr
 
-        tree = spec["expr"]
-
-        def fn(ts):
-            return np.array([eval_expr(tree, float(t), np.zeros(1)) for t in ts],
-                            dtype=complex)
-
-        return SampledSignal.from_function(fn, t0, t1, dt)
+        return SampledSignal.from_function(
+            lambda ts: np.full(ts.shape, eval_expr(spec["expr"], ts, np.zeros(1)), dtype=complex),
+            t0, t1, dt)
     if "forcing" in spec:
         base = build_forcing(spec["forcing"], t0, t1, dt, spec.get("params", {}))
         vals = base.values[:, 0].astype(complex)

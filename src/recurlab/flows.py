@@ -269,15 +269,14 @@ def hull_solutions(rhs: RhsSpec, shifts, x0_set, horizon: float,
 
     All pairs are one stacked solve (:func:`_integrate_family`): the
     member for shift h reads the field at time t + h, forcing and ["t"]
-    nodes alike, which is the hull element f^h(t, x) = f(t + h, x). With a
-    forcing, h < 0 raises ValueError and h past the forcing's span raises
-    EmptyDomainError. Deterministic order: lexicographic in (shift index,
-    x0 index).
+    nodes alike, which is the hull element f^h(t, x) = f(t + h, x). h < 0
+    raises ValueError, and h past a forcing's span raises EmptyDomainError,
+    as :func:`signal.translate` does. Deterministic order: lexicographic in
+    (shift index, x0 index).
     """
     shifts = [float(h) for h in shifts]
-    if rhs.forcing is not None:
-        for h in shifts:
-            check_shift(rhs.forcing, h)
+    for h in shifts:
+        check_shift(rhs.forcing, h)
     x0s = [tuple(np.atleast_1d(np.asarray(x0, dtype=float))) for x0 in x0_set]
     pairs = [(h, x0) for h in shifts for x0 in x0s]
     if not pairs:

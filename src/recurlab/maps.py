@@ -96,13 +96,13 @@ def discrete_fiber_count(m: MapSpec, shifts, x0_set, n_steps: int, burn_in: int,
     (shift, x0) orbits are one stacked iteration, clustered per shift in
     the given order. For each representative the least period p with
     translate-by-p distance below cluster_tol is recorded (0 = none found).
+    A negative shift raises ValueError, with a forcing or without one.
     """
     if burn_in >= n_steps:
         raise ValueError("burn-in must be smaller than n_steps")
     shifts = [int(h) for h in shifts]
-    if m.forcing is not None:
-        for h in shifts:
-            check_shift(m.forcing, float(h))
+    for h in shifts:
+        check_shift(m.forcing, float(h))
     hs = [h for h in shifts for _ in x0_set]
     orbits = _iterate_family(m, [x0 for _ in shifts for x0 in x0_set], hs, n_steps)
     leaders, mm, constant = fiber_clusters(zip(hs, orbits), float(burn_in), cluster_tol)

@@ -210,11 +210,11 @@ def shift_values(v, dt, h, last=None):
     return (1.0 - fr) * v[k + i:k + m] + fr * v[k + 1 + i:k + 1 + m]
 
 
-def check_shift(s: SampledSignal, h: float) -> None:
-    """Raise as :func:`translate` does for h < 0 or h past the span."""
+def check_shift(s, h: float) -> None:
+    """Raise as :func:`translate` does for h < 0 or, when s is a signal, h past its span."""
     if h < 0:
         raise ValueError("translation requires h >= 0")
-    if shift_offset(len(s), s.dt, h)[2] == 0:
+    if s is not None and shift_offset(len(s), s.dt, h)[2] == 0:
         raise EmptyDomainError(f"translation by h={h} exceeds span {s.span}")
 
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from recurlab import _kernels
 from recurlab.algebra import (
     PolyPath,
     RESIDUAL_RTOL,
@@ -87,6 +88,73 @@ def test_subnormal_aberth_step_raises_no_warning():
         warnings.simplefilter("error", RuntimeWarning)
         r = roots_at(const_poly([c]), 0.0)
     assert np.allclose(r, [-c], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [2.225e-309j, 0.0],          # closed form: the root 0 has a subnormal p'
+    [0.0, 2.225e-309, 0.0],      # real companion, same at the root 0
+    [0.0, 2.225e-309j, 0.0],     # complex companion
+])
+def test_subnormal_derivative_at_a_root_raises_no_warning(coeffs):
+    # a Newton step p / p' at a root where p' is subnormal overflows inside
+    # the complex division; the polish must not divide there at all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = roots_at(const_poly(coeffs), 0.0)
+    assert np.all(np.isfinite(r))
+    assert np.min(np.abs(r)) == 0.0
+
+
+#: (a_1, a_2, exact roots) of quadratics whose b^2 or 4c leaves the float
+#: range or whose small root sits far below the large one. The eigvals
+#: solver this replaced gave -1.0e-166 + 1e-150j for the small root of the
+#: second; without the power-of-two scaling, the closed form gives NaN
+#: roots for the first and the last
+EXTREME_QUADRATICS = [
+    (1e200, 1.0, [-1e200, -1e-200]),
+    (1e-200, 1e-300, [-5e-201 - 1e-150j, -5e-201 + 1e-150j]),
+    (0.0, 1e300, [-1e150j, 1e150j]),
+    (3e160j, -2e300, [-3e160j + 2e300 / 3e160 * 1j, -2e300 / 3e160 * 1j]),
+]
+
+
+@pytest.mark.parametrize("a1, a2, exact", EXTREME_QUADRATICS)
+def test_closed_form_quadratic_at_extreme_scales(a1, a2, exact):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = roots_at(const_poly([a1, a2]), 0.0)
+    got = got[np.lexsort((got.real, got.imag))]
+    exact = np.array(exact, dtype=complex)
+    exact = exact[np.lexsort((exact.real, exact.imag))]
+    # each part to a few ulps of itself: a small real part under a large
+    # imaginary one must not drown in the modulus
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(exact)) <= 1e-15 * np.abs(part(exact)))
+
+
+@pytest.mark.parametrize("coeffs", [[np.inf], [1.0, np.nan], [0.0, 1.0, np.inf]])
+def test_non_finite_coefficients_raise_for_every_degree(coeffs):
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.aberth_grid(np.array([coeffs], dtype=complex))
+
+
+def test_real_quartic_gives_exact_conjugate_pairs_and_matches_the_complex_path():
+    # x^4 - (5 + f) x^2 + (4 + f) (roots +-1, +-sqrt(4 + f)) and random real
+    # quartics; one extra complex row sends the same rows down the complex
+    # companion path
+    rng = np.random.default_rng(5)
+    f = 0.9 * np.sin(np.linspace(0.0, 20.0, 500))
+    rows = np.vstack([np.column_stack([0 * f, -(5 + f), 0 * f, 4 + f]),
+                      rng.normal(size=(500, 4))])
+    real = _kernels.aberth_grid(rows)
+    cplx = _kernels.aberth_grid(np.vstack([rows, [[1j, 0.0, 0.0, 1.0]]]))[:-1]
+    assert np.array_equal(np.sort_complex(real), np.sort_complex(real.conj()))
+    assert not np.any(real[:500].imag)
+    res = np.abs(_kernels.horner(rows.astype(complex), real)[0])
+    gate = RESIDUAL_RTOL * (1.0 + np.max(np.abs(rows), axis=1)) ** 4
+    assert np.all(res <= gate[:, None])
+    dist = np.abs(real[:, :, None] - cplx[:, None, :]).min(axis=2)
+    assert np.max(dist) <= RESIDUAL_RTOL
 
 
 def test_gate_that_overflows_refuses():

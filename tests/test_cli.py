@@ -188,11 +188,19 @@ NESTED_BLOCKS = [
     ("omega_heq1_forcing", ("equi_ap", "tau")),
     ("omega_heq1_forcing", ("minimality",)),
     (small_dde_cfg, ("init",)),
+    ("classify_rap_sin_log", ("signal",)),
+    ("omega_heq1_forcing", ("signal",)),
+    ("zhikov_surrogate", ("signal",)),
+    ("ode_condition_h", ("forcing",)),
+    ("map_corom1_periodic", ("forcing",)),
+    ("roots_rap_quadratic", ("coefficients", 1)),
+    ("roots_collision", ("coefficients", 1)),
 ]
 
 
 @pytest.mark.parametrize("source, block", NESTED_BLOCKS,
-                         ids=[f"{getattr(c, '__name__', c)}:{'.'.join(b)}" for c, b in NESTED_BLOCKS])
+                         ids=[f"{getattr(c, '__name__', c)}:{'.'.join(map(str, b))}"
+                              for c, b in NESTED_BLOCKS])
 def test_misspelt_key_in_any_block_exits_two_from_validate_and_run(source, block, tmp_path,
                                                                    capsys):
     if callable(source):
@@ -207,7 +215,7 @@ def test_misspelt_key_in_any_block_exits_two_from_validate_and_run(source, block
     for command in (["validate", str(path)], ["run", str(path), "--output-root", str(tmp_path)]):
         assert main(command) == 2
         err = capsys.readouterr().err
-        assert "'gap_bound_facter'" in err and f"`{'.'.join(block)}`" in err
+        assert "'gap_bound_facter'" in err and f"`{'.'.join(map(str, block))}`" in err
     assert not (tmp_path / cfg.get("output_dir", "exp")).exists()
 
 
@@ -236,6 +244,28 @@ def test_unknown_top_level_key_exits_two_from_validate_and_run(source, key, tmp_
         assert main(command) == 2
         assert f"config error ({key}): unknown key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / cfg.get("output_dir", "exp")).exists()
+
+
+def test_misplaced_signal_key_exits_two(tmp_path, capsys):
+    # amplitude is no key of a signal spec: it must not be dropped silently
+    cfg = {"schema": 1, "kind": "classify", "seed": 0, "output_dir": "out/misplaced",
+           "signal": {"forcing": "heq1_forcing", "t0": 0.0, "t1": 200.0, "dt": 0.05,
+                      "amplitude": 3.0},
+           "thresholds": {"epsilon_grid": [0.1]}}
+    path = write_cfg(tmp_path, cfg)
+    for command in (["validate", str(path)], ["run", str(path), "--output-root", str(tmp_path)]):
+        assert main(command) == 2
+        assert "config error (amplitude): unknown key 'amplitude' in `signal`" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "out" / "misplaced").exists()
+
+
+def test_coefficients_must_be_a_list_of_mappings(tmp_path):
+    base = {"schema": 1, "kind": "roots", "seed": 0, "span": 1.0, "dt": 0.1}
+    for coefficients in ({"forcing": "sin"}, ["sin"]):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, {**base, "coefficients": coefficients}))
+        assert exc.value.key == "coefficients"
 
 
 def test_block_that_is_not_a_mapping_is_refused(tmp_path):
@@ -315,6 +345,21 @@ def test_roots_from_manifest(tmp_path):
     code, _ = run_config(write_cfg(tmp_path, cfg, name="roots.yaml"),
                          output_root=tmp_path)
     assert code == 0
+
+
+@pytest.mark.parametrize("tree", [["neg", ["t"]], ["const", 2.5],
+                                  ["+", ["sin", ["t"]], ["*", ["const", 0.3], ["exp", ["t"]]]]])
+def test_expr_coefficient_is_the_pointwise_evaluation(tree):
+    # one call on the time array, constants broadcast, equals a per-point loop bit for bit
+    import numpy as np
+
+    from recurlab.catalog import eval_expr
+    from recurlab.cli import _coeff_signal
+
+    s = _coeff_signal({"expr": tree}, -1.0, 1.0, 0.002)
+    pointwise = np.array([eval_expr(tree, float(t), np.zeros(1)) for t in s.times()],
+                         dtype=complex)
+    assert s.values[:, 0].tobytes() == pointwise.tobytes()
 
 
 def test_degree_one_roots_report_is_strict_json(tmp_path):

@@ -167,3 +167,15 @@ def test_discrete_fiber_count_refuses_shifts_outside_the_forcing():
         discrete_fiber_count(m, [-1], [np.array([0.0])], n_steps=10, burn_in=5, cluster_tol=0.1)
     with pytest.raises(EmptyDomainError):
         discrete_fiber_count(m, [31], [np.array([0.0])], n_steps=10, burn_in=5, cluster_tol=0.1)
+
+
+def test_negative_shift_is_refused_without_a_forcing():
+    # hulls are built from h >= 0, as translate requires; a system whose
+    # time dependence sits in ["t"] nodes has no forcing to check it against
+    m = MapSpec("expr", expr=(["+", ["*", ["const", 0.5], ["x", 0]], ["sin", ["t"]]],))
+    with pytest.raises(ValueError):
+        discrete_fiber_count(m, [0, -3], [np.array([0.2])], n_steps=10, burn_in=5,
+                             cluster_tol=0.1)
+    rhs = RhsSpec("expr", expr=(_time_shifted_sine(0),))
+    with pytest.raises(ValueError):
+        hull_solutions(rhs, [0.0, -3.0], [(0.3,)], 5.0, out_dt=0.01)

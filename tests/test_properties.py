@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from recurlab import _kernels
-from recurlab.algebra import PolyPath, _match_small_degree, _prefix_compose, discriminant_signal, \
-    root_bound_check, roots_at, track_branches
+from recurlab.algebra import PolyPath, _compose_branches, _match_small_degree, _prefix_compose, \
+    discriminant_signal, root_bound_check, roots_at, track_branches
 from recurlab.errors import EmptyDomainError
 from recurlab.flows import attraction_time, contraction_modulus
 from recurlab.maps import MapSpec, iterate
@@ -216,6 +216,7 @@ def test_root_bound_for_constant_polynomials(coeff_pairs):
 
 
 @given(st.tuples(finite, finite), st.tuples(finite, finite))
+@example(a1p=(0.0, 2.225e-309), a2p=(0.0, 0.0))  # subnormal p' at the root 0
 @settings(max_examples=60, deadline=None)
 def test_quadratic_discriminant_closed_form(a1p, a2p):
     a1 = complex(*a1p)
@@ -310,6 +311,22 @@ def test_prefix_compose_matches_sequential_loop(seed, n, N):
     rng = np.random.default_rng(seed)
     q = rng.permuted(np.tile(np.arange(n, dtype=np.intp), (N, 1)), axis=1)
     assert np.array_equal(_prefix_compose(q.copy()), compose_loop(q))
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 5]), st.integers(1, 600),
+       st.sampled_from([0.0, 0.01, 0.3, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_sparse_composition_equals_the_full_scan(seed, n, N, moved_frac):
+    # all identity (0), sparse, and all moved (1 for n > 1) step tables
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n))
+    steps = np.tile(np.arange(n, dtype=np.intp), (N - 1, 1))
+    moved = rng.uniform(size=N - 1) < moved_frac
+    shifts = rng.integers(1, max(n, 2), size=int(moved.sum()))
+    steps[moved] = (np.arange(n)[None, :] + shifts[:, None]) % n
+    full = np.vstack([np.lexsort((raw[0].imag.round(12), raw[0].real.round(12))), steps])
+    expected = np.take_along_axis(raw, _prefix_compose(full), axis=1)
+    assert np.array_equal(_compose_branches(raw, steps), expected)
 
 
 def test_small_degree_branches_undo_shuffled_roots():
