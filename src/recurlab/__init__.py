@@ -28,7 +28,6 @@ from .recurrence import (
     translation_set_remote,
     remotely_tau_periodic_test,
     remotely_stationary_test,
-    thap4_equivalence_check,
     omega_limit_sample,
     equi_ap_test,
     minimality_test,
@@ -56,7 +55,6 @@ __all__ = [
     "translation_set_remote",
     "remotely_tau_periodic_test",
     "remotely_stationary_test",
-    "thap4_equivalence_check",
     "omega_limit_sample",
     "equi_ap_test",
     "minimality_test",

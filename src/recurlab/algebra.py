@@ -8,7 +8,9 @@ is solved independently. Continuous branches come from optimal
 assignment between consecutive root multisets, composed along the grid
 over the steps that move a root. Near discriminant zeros the step
 guard refuses to fabricate branches and reports the offending interval
-instead.
+instead. `roots_report` assembles the certificate (branches, separation,
+root bound, branch classification); the zhikov experiment is x^2 - p(t)
+run through it.
 """
 
 import functools
@@ -190,11 +192,16 @@ class RootBranches:
     branches: list
     residual_max: float
     discriminant: SampledSignal
-    separation_min: float
+    #: per grid point, the least distance between two branches; inf below two
+    separation: np.ndarray
 
     @property
     def degree(self):
         return len(self.branches)
+
+    @property
+    def separation_min(self):
+        return float(np.min(self.separation))
 
     def branch_matrix(self):
         return np.column_stack([b.values[:, 0] for b in self.branches])
@@ -318,7 +325,7 @@ def track_branches(p: PolyPath) -> RootBranches:
         branches=branches,
         residual_max=float(np.max(res)),
         discriminant=disc_sig,
-        separation_min=float(np.min(sep)),
+        separation=sep,
     )
 
 
@@ -331,7 +338,8 @@ def root_bound_check(rb: RootBranches, p: PolyPath):
 
 
 def separation_certificate(rb: RootBranches, alpha_claim: float):
-    """Verify min pairwise branch separation >= alpha_claim.
+    """Verify min pairwise branch separation >= alpha_claim, read from the
+    per-point separation that `track_branches` recorded.
 
     Returns (flag, argmin time, separation_min, inf |D|) so the discriminant
     hypothesis |D(t)| >= alpha can be checked alongside. Below degree 2
@@ -341,10 +349,9 @@ def separation_certificate(rb: RootBranches, alpha_claim: float):
     inf_d = float(np.min(np.abs(rb.discriminant.values[:, 0])))
     if rb.degree < 2:
         return True, None, None, inf_d
-    sep = _pairwise_separation(rb.branch_matrix())
-    k = int(np.argmin(sep))
-    ts = rb.discriminant.times()
-    return bool(sep[k] >= alpha_claim), float(ts[k]), float(sep[k]), inf_d
+    k = int(np.argmin(rb.separation))
+    sep = float(rb.separation[k])
+    return sep >= alpha_claim, float(rb.discriminant.times()[k]), sep, inf_d
 
 
 def classify_branches(rb: RootBranches, th, classify_dt: float = None):
@@ -362,42 +369,61 @@ def classify_branches(rb: RootBranches, th, classify_dt: float = None):
     return [classify(b, th) for b in branches]
 
 
+def roots_report(p: PolyPath, alpha_claim: float = 0.0, th=None, classify_dt: float = None):
+    """The roots certificate of p: (report dict, RootBranches or None).
+
+    Tracks the branches; on a collision the report holds only the degree
+    and the collision interval, and no branches are returned. Otherwise it
+    adds the residual, the separation certificate against alpha_claim, the
+    root bound and max |root|, and, when thresholds th are given, the
+    recurrence flags of every branch (resampled to classify_dt).
+    """
+    report = {"degree": p.degree, "collisions": []}
+    try:
+        rb = track_branches(p)
+    except BranchCollisionError as exc:
+        report["collisions"].append(list(exc.interval))
+        return report, None
+    ok_bound, excess = root_bound_check(rb, p)
+    ok_sep, argmin_t, sep_min, inf_d = separation_certificate(rb, alpha_claim)
+    report.update({
+        "residual_max": rb.residual_max,
+        "separation_min": sep_min,
+        "separation_argmin_t": argmin_t,
+        "inf_abs_D": inf_d,
+        "root_bound_ok": bool(ok_bound),
+        "root_bound_excess": excess,
+        "separation_ok": bool(ok_sep),
+        "max_abs_root": float(np.max(np.abs(rb.branch_matrix()))),
+    })
+    if th is not None:
+        report["branches"] = [r.flags for r in classify_branches(rb, th, classify_dt)]
+    return report, rb
+
+
 def zhikov_pipeline(f_candidate: SampledSignal, with_decay: bool, th,
                     dd_threshold: float = 0.05, classify_dt: float = 0.02):
     """Near-vanishing-discriminant experiment: x^2 - p(t) = 0, p = f (+ e^-t).
 
-    Builds the quadratic, tracks branches if the step guard allows, and
-    juxtaposes inf |p| (the discriminant-separation failure witness) with
-    the recurrence classification of the branches. The report flags when
-    the separated-discriminant hypothesis fails at dd_threshold; it never
+    The quadratic goes through `roots_report`. In front of its keys the
+    report puts the facts about the input, which hold on a collision too:
+    inf |p| (the discriminant-separation failure witness) and whether the
+    separated-discriminant hypothesis holds at dd_threshold. It never
     claims more than the surrogate shows.
     """
-    ts = f_candidate.times()
-    pvals = f_candidate.values[:, 0].astype(np.complex128)
+    g = f_candidate
+    pvals = g.values[:, 0].astype(np.complex128)
     if with_decay:
-        pvals = pvals + np.exp(-ts)
-    psig = SampledSignal(t0=f_candidate.t0, dt=f_candidate.dt, values=pvals, label="p")
-    zero = SampledSignal(t0=psig.t0, dt=psig.dt, values=np.zeros(len(psig), dtype=complex),
-                         label="a1")
-    a2 = SampledSignal(t0=psig.t0, dt=psig.dt, values=-pvals, label="a2")
-    path = PolyPath((zero, a2), label="zhikov")
-
+        pvals = pvals + np.exp(-g.times())
+    zero = SampledSignal(t0=g.t0, dt=g.dt, values=np.zeros(len(g), dtype=complex), label="a1")
+    a2 = SampledSignal(t0=g.t0, dt=g.dt, values=-pvals, label="a2")
     inf_p = float(np.min(np.abs(pvals)))
     report = {
         "with_decay": bool(with_decay),
         "inf_abs_p": inf_p,
-        "inf_abs_D": 4.0 * inf_p,   # for x^2 - p the product form gives |D| = 4|p|
+        # for x^2 - p the product form gives |D| = 4|p|
         "dd_separation_holds": bool(4.0 * inf_p > dd_threshold),
-        "collisions": [],
-        "branches": None,
     }
-    try:
-        rb = track_branches(path)
-    except BranchCollisionError as exc:
-        report["collisions"].append(list(exc.interval))
-        return report, None
-    reports = classify_branches(rb, th, classify_dt=classify_dt)
-    report["branches"] = [r.flags for r in reports]
-    report["separation_min"] = rb.separation_min
-    report["residual_max"] = rb.residual_max
-    return report, rb
+    roots, rb = roots_report(PolyPath((zero, a2), label="zhikov"), th=th,
+                             classify_dt=classify_dt)
+    return {**report, **roots}, rb

@@ -20,7 +20,7 @@ import yaml
 
 from . import __version__, _kernels
 from .catalog import build_forcing, catalog_listing
-from .errors import BranchCollisionError, ConfigError, RecurlabError
+from .errors import ConfigError, RecurlabError
 from .recurrence import TauSpec, Thresholds, classify, equi_ap_test, minimality_test, \
     omega_limit_sample
 from .signal import SampledSignal, Window, read_signal_csv, write_signal_csv
@@ -49,85 +49,102 @@ def load_config(path):
     kind = cfg.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}", key="kind")
-    for required in _REQUIRED_KEYS[kind]:
-        if required not in cfg:
-            raise ConfigError(f"kind={kind} requires key {required!r}", key=required)
     _check_keys(cfg, _CONFIG_KEYS[kind])
     return cfg
-
-
-_REQUIRED_KEYS = {
-    "classify": ("signal", "thresholds"),
-    "omega": ("signal", "shifts", "window_len", "cluster_tol"),
-    "ode": ("rhs", "x0", "span"),
-    "dde": ("r", "lags", "init", "horizon"),
-    "map": ("map", "x0", "n_steps"),
-    "roots": (),   # either `manifest` or `coefficients` + `span` + `dt`
-    "zhikov": ("signal", "thresholds"),
-}
 
 
 def _build_signal(spec):
     if "file" in spec:
         return read_signal_csv(spec["file"])
-    if "forcing" in spec:
-        return build_forcing(spec["forcing"], float(spec.get("t0", 0.0)),
-                             float(spec["t1"]), float(spec["dt"]),
-                             spec.get("params", {}))
-    raise ConfigError("signal needs `file` or `forcing`", key="signal")
+    return build_forcing(spec["forcing"], float(spec.get("t0", 0.0)), float(spec["t1"]),
+                         float(spec["dt"]), spec.get("params", {}))
 
 
-def _keys(*names, **blocks):
+class _Block(dict):
+    """Accepted keys of a config block, built by `_keys`; ``required`` holds
+    one tuple of alternatives per need, each alternative a tuple of keys."""
+
+
+def _tuple(x):
+    return x if isinstance(x, tuple) else (x,)
+
+
+def _keys(*names, required=(), **blocks):
     """Accepted keys of a config block: plain keys map to None, nested blocks
-    to their own accepted keys, lists of blocks to a one-element list of them."""
-    return {**dict.fromkeys(names), **blocks}
+    to their own accepted keys, lists of blocks to a one-element list of them.
+
+    ``required`` lists what the block must hold: a key, or a tuple of
+    alternatives (each a key or a tuple of keys) one of which it must hold
+    in full. The keys named there are accepted too.
+    """
+    needs = tuple(tuple(map(_tuple, _tuple(need))) for need in required)
+    named = (key for need in needs for alt in need for key in alt)
+    block = _Block({**dict.fromkeys(names), **dict.fromkeys(named), **blocks})
+    block.required = needs
+    return block
 
 
 #: a signal spec (`signal`, and `forcing` of the system kinds) and one roots coefficient
-_SIGNAL = _keys("file", "forcing", "t0", "t1", "dt", "params")
-_COEFFICIENT = _keys("file", "expr", "forcing", "params", "scale", "offset")
+_SIGNAL = _keys("t0", "params", required=[("file", ("forcing", "t1", "dt"))])
+_COEFFICIENT = _keys("params", "scale", "offset", required=[("file", "expr", "forcing")])
 _SCALAR_THRESHOLDS = ("gap_bound_factor", "range_bound", "equicontinuity_bound")
 _TAU = _keys("lo", "hi", "step", "refine")
-_THRESHOLDS = _keys("epsilon_grid", "stationary_taus", *_SCALAR_THRESHOLDS, tau=_TAU)
-_CLASSIFY = _keys("burn_in", thresholds=_THRESHOLDS)
+_THRESHOLDS = _keys("stationary_taus", *_SCALAR_THRESHOLDS, required=["epsilon_grid"], tau=_TAU)
+_CLASSIFY = _keys("burn_in", required=["thresholds"], thresholds=_THRESHOLDS)
 
 _COMMON = ("schema", "kind", "seed", "output_dir", "assertions")
 
-#: the keys each kind reads, nested blocks with their own accepted keys;
-#: load_config refuses any other key, at the top level or inside a block
+#: the keys each kind reads and the ones it must have, nested blocks with
+#: their own; load_config refuses any other key, at the top level or inside
+#: a block, and any config that lacks a required one
 _CONFIG_KEYS = {
-    "classify": _keys(*_COMMON, "restrict", "write_translation_set", signal=_SIGNAL,
-                      thresholds=_THRESHOLDS),
-    "omega": _keys(*_COMMON, "window_len", "cluster_tol", signal=_SIGNAL,
-                   shifts=_keys("start", "step", "n"),
-                   equi_ap=_keys("eps", "gap_bound_factor", tau=_TAU),
-                   minimality=_keys("eps", "n_probes", "slide_span")),
-    "ode": _keys(*_COMMON, "rhs", "params", "x0", "span", "max_step", "out_dt",
+    "classify": _keys(*_COMMON, "restrict", "write_translation_set",
+                      required=["signal", "thresholds"], signal=_SIGNAL, thresholds=_THRESHOLDS),
+    "omega": _keys(*_COMMON, required=["signal", "shifts", "window_len", "cluster_tol"],
+                   signal=_SIGNAL, shifts=_keys(required=["start", "step", "n"]),
+                   equi_ap=_keys("gap_bound_factor", required=["eps", "tau"],
+                                 tau=_keys("lo", "step", "refine", required=["hi"])),
+                   minimality=_keys("n_probes", "slide_span", required=["eps"])),
+    "ode": _keys(*_COMMON, "params", "max_step", "out_dt", required=["rhs", "x0", "span"],
                  forcing=_SIGNAL, tolerances=_keys("rel", "abs"), classify=_CLASSIFY,
-                 condition_h=_keys("kappa", "alpha", "box_lo", "box_hi", "n_pairs", "t_samples"),
-                 fiber=_keys("shifts", "x0_set", "horizon", "burn_in", "cluster_tol", "out_dt"),
-                 stability=_keys("delta_grid", "eps_grid", "restart_times", "horizon",
-                                 "kappa", "alpha")),
-    "dde": _keys(*_COMMON, "r", "lags", "weights", "horizon", "dt", forcing=_SIGNAL,
-                 init=_keys("value", "file"), classify=_CLASSIFY),
-    "map": _keys(*_COMMON, "map", "params", "x0", "n_steps", forcing=_SIGNAL,
-                 fiber=_keys("shifts", "x0_set", "burn_in", "cluster_tol"), classify=_CLASSIFY),
-    "roots": _keys(*_COMMON, "manifest", "t0", "span", "dt", "label", "alpha_claim",
+                 condition_h=_keys("n_pairs", "t_samples",
+                                   required=["kappa", "alpha", "box_lo", "box_hi"]),
+                 fiber=_keys("burn_in", "out_dt",
+                             required=["shifts", "x0_set", "horizon", "cluster_tol"]),
+                 stability=_keys("kappa", "alpha", required=["delta_grid", "eps_grid",
+                                                             "restart_times", "horizon"])),
+    "dde": _keys(*_COMMON, "weights", "dt", required=["r", "lags", "init", "horizon"],
+                 forcing=_SIGNAL, init=_keys("value", "file"), classify=_CLASSIFY),
+    "map": _keys(*_COMMON, "params", required=["map", "x0", "n_steps"], forcing=_SIGNAL,
+                 fiber=_keys(required=["shifts", "x0_set", "burn_in", "cluster_tol"]),
+                 classify=_CLASSIFY),
+    "roots": _keys(*_COMMON, "t0", "label", "alpha_claim",
+                   required=[("manifest", ("coefficients", "span", "dt"))],
                    coefficients=[_COEFFICIENT],
-                   classify=_keys("classify_dt", thresholds=_THRESHOLDS)),
-    "zhikov": _keys(*_COMMON, "with_decay", "dd_threshold", "classify_dt", signal=_SIGNAL,
-                    thresholds=_THRESHOLDS),
+                   classify=_keys("classify_dt", required=["thresholds"], thresholds=_THRESHOLDS)),
+    "zhikov": _keys(*_COMMON, "with_decay", "dd_threshold", "classify_dt",
+                    required=["signal", "thresholds"], signal=_SIGNAL, thresholds=_THRESHOLDS),
 }
 
 
 def _check_keys(spec, allowed, path=""):
-    """ConfigError naming the first key of ``spec`` that ``allowed`` lacks,
-    then the same for every nested block, or block of a list, that ``allowed`` lists."""
+    """ConfigError naming the first key of ``spec`` that ``allowed`` lacks, else
+    a required key ``spec`` lacks; then the same for every nested block, or
+    block of a list, that ``allowed`` lists."""
+    where = f"`{path}`" if path else "the config"
     unknown = sorted(set(spec) - set(allowed))
     if unknown:
-        where = f"`{path}`" if path else "the config"
         raise ConfigError(f"unknown key {unknown[0]!r} in {where} (accepted: "
                           f"{', '.join(allowed)})", key=unknown[0])
+    for need in allowed.required:
+        if any(all(key in spec for key in alt) for alt in need):
+            continue
+        # name a key of the alternative the block has begun, else of the first
+        alt = next((alt for alt in need if any(key in spec for key in alt)), need[0])
+        key = next(key for key in alt if key not in spec)
+        options = " or ".join(", ".join(f"`{k}`" for k in alt) for alt in need)
+        raise ConfigError(f"missing key {key!r} in {where}"
+                          + (f" (needs {options})" if len(need) > 1 else ""), key=key)
     for name, sub in allowed.items():
         if sub is None or name not in spec:
             continue
@@ -348,79 +365,49 @@ def _coeff_signal(spec, t0, t1, dt):
         return SampledSignal.from_function(
             lambda ts: np.full(ts.shape, eval_expr(spec["expr"], ts, np.zeros(1)), dtype=complex),
             t0, t1, dt)
-    if "forcing" in spec:
-        base = build_forcing(spec["forcing"], t0, t1, dt, spec.get("params", {}))
-        vals = base.values[:, 0].astype(complex)
-        scale = float(spec.get("scale", 1.0))
-        off = complex(spec.get("offset", 0.0))
-        return SampledSignal(t0=base.t0, dt=base.dt, values=scale * vals + off)
-    raise ConfigError("coefficient needs `file`, `expr` or `forcing`", key="coefficients")
+    base = build_forcing(spec["forcing"], t0, t1, dt, spec.get("params", {}))
+    vals = base.values[:, 0].astype(complex)
+    scale = float(spec.get("scale", 1.0))
+    off = complex(spec.get("offset", 0.0))
+    return SampledSignal(t0=base.t0, dt=base.dt, values=scale * vals + off)
+
+
+def _branch_artifacts(rb, outdir):
+    """Write one CSV per tracked branch; none when tracking met a collision."""
+    if rb is None:
+        return []
+    paths = [outdir / f"branch{i}.csv" for i in range(rb.degree)]
+    for b, p in zip(rb.branches, paths):
+        write_signal_csv(b, p)
+    return paths
 
 
 def _run_roots(cfg, outdir):
-    from .algebra import (PolyPath, classify_branches, root_bound_check,
-                          separation_certificate, track_branches)
+    from .algebra import PolyPath, roots_report
 
     if "manifest" in cfg:
         path_poly = PolyPath.from_manifest(cfg["manifest"])
     else:
-        for key in ("coefficients", "span", "dt"):
-            if key not in cfg:
-                raise ConfigError(f"kind=roots requires `manifest` or key {key!r}", key=key)
-        t1 = float(cfg["span"])
-        t0 = float(cfg.get("t0", 0.0))
-        dt = float(cfg["dt"])
+        t0, t1, dt = float(cfg.get("t0", 0.0)), float(cfg["span"]), float(cfg["dt"])
         coeffs = tuple(_coeff_signal(c, t0, t1, dt) for c in cfg["coefficients"])
         path_poly = PolyPath(coeffs, label=cfg.get("label", "poly"))
-    report = {"degree": path_poly.degree, "collisions": []}
-    artifacts = []
-    try:
-        rb = track_branches(path_poly)
-    except BranchCollisionError as exc:
-        report["collisions"].append(list(exc.interval))
-        return report, artifacts
-    ok_bound, excess = root_bound_check(rb, path_poly)
-    alpha_claim = float(cfg.get("alpha_claim", 0.0))
-    ok_sep, argmin_t, sep_min, inf_d = separation_certificate(rb, alpha_claim)
-    report.update({
-        "residual_max": rb.residual_max,
-        "separation_min": sep_min,
-        "separation_argmin_t": argmin_t,
-        "inf_abs_D": inf_d,
-        "root_bound_ok": bool(ok_bound),
-        "root_bound_excess": excess,
-        "separation_ok": bool(ok_sep),
-        "max_abs_root": float(np.max(np.abs(rb.branch_matrix()))),
-    })
-    for i, b in enumerate(rb.branches):
-        p = outdir / f"branch{i}.csv"
-        write_signal_csv(b, p)
-        artifacts.append(p)
+    th = cdt = None
     if "classify" in cfg:
         th = _build_thresholds(cfg["classify"]["thresholds"])
         cdt = cfg["classify"].get("classify_dt")
-        reports = classify_branches(rb, th, classify_dt=float(cdt) if cdt else None)
-        report["branches"] = [r.to_dict()["flags"] for r in reports]
-    return report, artifacts
+    report, rb = roots_report(path_poly, float(cfg.get("alpha_claim", 0.0)), th,
+                              float(cdt) if cdt else None)
+    return report, _branch_artifacts(rb, outdir)
 
 
 def _run_zhikov(cfg, outdir):
     from .algebra import zhikov_pipeline
 
-    s = _build_signal(cfg["signal"])
-    vals = s.values[:, 0].astype(complex)
-    s = SampledSignal(t0=s.t0, dt=s.dt, values=vals, label=s.label)
-    th = _build_thresholds(cfg["thresholds"])
-    report, rb = zhikov_pipeline(s, bool(cfg.get("with_decay", True)), th,
+    report, rb = zhikov_pipeline(_build_signal(cfg["signal"]), bool(cfg.get("with_decay", True)),
+                                 _build_thresholds(cfg["thresholds"]),
                                  dd_threshold=float(cfg.get("dd_threshold", 0.05)),
                                  classify_dt=float(cfg.get("classify_dt", 0.02)))
-    artifacts = []
-    if rb is not None:
-        for i, b in enumerate(rb.branches):
-            p = outdir / f"branch{i}.csv"
-            write_signal_csv(b, p)
-            artifacts.append(p)
-    return report, artifacts
+    return report, _branch_artifacts(rb, outdir)
 
 
 _RUNNERS = {
@@ -509,7 +496,7 @@ def run_config(path, output_root=None):
     started = time.time()
     try:
         report, artifacts = _RUNNERS[cfg["kind"]](cfg, outdir)
-    except KeyError as exc:  # a required nested key is missing
+    except KeyError as exc:  # a key that another key makes required (stability kappa: alpha)
         key = next(iter(exc.args), None)
         raise ConfigError(f"kind={cfg['kind']} config lacks key {key!r}", key=key) from exc
     report_path = outdir / "report.json"

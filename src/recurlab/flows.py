@@ -8,9 +8,9 @@ modulus
 
     omega_kappa(t, r) = (r^(2-alpha) + kappa (alpha-2) t)^(1/(2-alpha)),
 
-derived from d/dt |D|^2 <= -2 kappa |D|^alpha. The kappa-free variant
-(`paper_contraction_modulus`) is kept alongside for comparison: the two
-agree at kappa = 1, and only the kappa-aware bound is valid for kappa < 1.
+derived from d/dt |D|^2 <= -2 kappa |D|^alpha. At kappa = 1 it is the
+kappa-free form r (1 + (alpha-2) t r^(alpha-2))^(1/(2-alpha)); only the
+kappa-aware bound is valid for kappa < 1.
 """
 
 from dataclasses import dataclass, field
@@ -200,14 +200,6 @@ def contraction_modulus(t, r, kappa, alpha):
     if r == 0:
         return np.zeros_like(t)
     return (r ** (2.0 - alpha) + kappa * (alpha - 2.0) * t) ** (1.0 / (2.0 - alpha))
-
-
-def paper_contraction_modulus(t, r):
-    """The kappa-free form r(1+(alpha-2) t r^(alpha-2))^(1/(2-alpha)), alpha=3.
-
-    Recorded for comparison only; equals contraction_modulus at kappa=1.
-    """
-    return contraction_modulus(t, r, 1.0, 3.0)
 
 
 def contraction_bound_check(sol1: SampledSignal, sol2: SampledSignal,

@@ -358,29 +358,6 @@ def remotely_stationary_test(s: SampledSignal, eps_grid, taus, min_tail=None):
     return all(witness.values()), witness
 
 
-def thap4_equivalence_check(s: SampledSignal, eps: float, cands: TauSpec) -> bool:
-    """Accepted sets under the plain tail rule vs the t, t+tau >= L variant.
-
-    For nonnegative tau the two Bohr-type tail conditions coincide: every
-    tau the plain rule accepts at its least L also passes the variant at
-    that L, read from the same tail profile. Two-sided signals are out of
-    scope: only tau >= 0 is scanned.
-    """
-    base = _flat(s)
-    tail_steps = _remote_tail_steps(s, cands)
-    for tau in cands.candidates():
-        if _late_sup(base, s.dt, tau, tail_steps) >= eps:
-            continue  # both rules reject tau
-        prof = _tail_profile(base, s.dt, tau)
-        idx = int(np.count_nonzero(prof >= eps))
-        # require t >= L and t + tau >= L for the found L; tau >= 0 makes
-        # the second constraint redundant but it is enforced literally
-        i_start = max(idx, int(np.ceil((idx * s.dt - tau) / s.dt)))
-        if prof[i_start] >= eps:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # omega-limit hull sampling
 # ---------------------------------------------------------------------------

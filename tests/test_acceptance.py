@@ -36,7 +36,6 @@ from recurlab.recurrence import (
     equi_ap_test,
     minimality_test,
     omega_limit_sample,
-    thap4_equivalence_check,
     translation_set_remote,
 )
 from recurlab.signal import SampledSignal, Window
@@ -395,9 +394,6 @@ def test_criterion_9_cross_module_coherence():
         lhs = flags["rap"] and flags["lagrange_stable_proxy"]
         assert lhs == eq_flag, f"{s.label}: rap+lagrange={lhs} but equi-AP={eq_flag}"
 
-        # the two tail-condition variants accept the same translations
-        assert thap4_equivalence_check(s, 0.2, TauSpec(lo=TWO_PI, hi=200.0, step=TWO_PI,
-                                                       refine=False)), s.label
         checked.append(s.label)
 
     # cocycle semigroup identity on the catalog fields, within 5x the
@@ -418,5 +414,5 @@ def test_criterion_9_cross_module_coherence():
         defect = float(np.max(np.abs(full.values[k:k + len(second)] - second.values)))
         assert defect <= 5 * achieved, f"{kind}: defect {defect:.2e} > 5x {achieved:.2e}"
 
-    announce(9, f"monotone flags + lRAP1 equivalence + thAP4 on {checked}; "
+    announce(9, f"monotone flags + lRAP1 equivalence on {checked}; "
                 f"cocycle identity within 5x achieved tolerance on 4 catalog fields")

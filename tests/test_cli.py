@@ -292,13 +292,42 @@ def test_perfbench_configs_load(size, tmp_path):
     assert n == 10
 
 
-def test_missing_nested_key_exits_two_naming_the_key(tmp_path, capsys):
-    path = write_cfg(tmp_path, small_omega_cfg({"lo": 6.0, "step": 6.0}))
-    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 2
-    assert "config error (hi)" in capsys.readouterr().err
-    # with hi the same config runs
-    path = write_cfg(tmp_path, small_omega_cfg({"hi": 20.0}), name="ok.yaml")
-    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 0
+#: (shipped config, path of a key its runner needs); the roots config keeps
+#: `span` and `dt`, so without `coefficients` it has neither of its sources
+REQUIRED_KEYS = [
+    ("omega_heq1_forcing", ("shifts", "n")),
+    ("omega_heq1_forcing", ("equi_ap", "tau", "hi")),
+    ("ode_heq1_amerio", ("fiber", "horizon")),
+    ("ode_condition_h", ("condition_h", "kappa")),
+    ("map_corom1_periodic", ("fiber", "cluster_tol")),
+    ("roots_rap_quadratic", ("classify", "thresholds")),
+    ("roots_rap_quadratic", ("coefficients",)),
+    ("classify_rap_sin_log", ("thresholds", "epsilon_grid")),
+]
+
+
+@pytest.mark.parametrize("source, path", REQUIRED_KEYS,
+                         ids=[f"{c}:{'.'.join(p)}" for c, p in REQUIRED_KEYS])
+def test_missing_required_key_exits_two_from_validate_and_run(source, path, tmp_path, capsys):
+    cfg = yaml.safe_load((CONFIG_DIR / f"{source}.yaml").read_text())
+    node = cfg
+    for name in path[:-1]:
+        node = node[name]
+    del node[path[-1]]
+    cfg_path = write_cfg(tmp_path, cfg)
+    for command in (["validate", str(cfg_path)],
+                    ["run", str(cfg_path), "--output-root", str(tmp_path)]):
+        assert main(command) == 2
+        assert f"config error ({path[-1]}): missing key {path[-1]!r}" in capsys.readouterr().err
+    assert not (tmp_path / cfg["output_dir"]).exists()
+
+
+def test_roots_without_a_source_names_both(tmp_path):
+    cfg = {"schema": 1, "kind": "roots", "seed": 0, "alpha_claim": 1.0}
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_cfg(tmp_path, cfg))
+    assert exc.value.key == "manifest"
+    assert "`manifest` or `coefficients`, `span`, `dt`" in str(exc.value)
 
 
 @pytest.mark.parametrize("name", ["classify_rap_sin_log", "map_corom1_periodic",
@@ -345,6 +374,41 @@ def test_roots_from_manifest(tmp_path):
     code, _ = run_config(write_cfg(tmp_path, cfg, name="roots.yaml"),
                          output_root=tmp_path)
     assert code == 0
+
+
+def test_zhikov_is_the_roots_report_of_x2_minus_p(tmp_path):
+    # kind zhikov is x^2 - p run through the roots report: with p the same
+    # signal, the branches and every shared report key agree
+    import numpy as np
+
+    from recurlab.signal import read_signal_csv
+
+    grid = {"t0": 0.0, "t1": 100.0, "dt": 0.01}
+    thresholds = {"epsilon_grid": [0.25],
+                  "tau": {"lo": 6.283185307179586, "hi": 25.0, "step": 6.283185307179586}}
+    zhikov = {"schema": 1, "kind": "zhikov", "seed": 0, "output_dir": "out/zhikov",
+              "signal": {"forcing": "zhikov_surrogate", **grid}, "with_decay": False,
+              "classify_dt": 0.05, "thresholds": thresholds}
+    roots = {"schema": 1, "kind": "roots", "seed": 0, "output_dir": "out/roots",
+             "t0": grid["t0"], "span": grid["t1"], "dt": grid["dt"],
+             "coefficients": [{"forcing": "zero"},
+                              {"forcing": "zhikov_surrogate", "scale": -1.0}],
+             "classify": {"classify_dt": 0.05, "thresholds": thresholds}}
+    reports = {}
+    for cfg in (zhikov, roots):
+        code, _ = run_config(write_cfg(tmp_path, cfg, name=f"{cfg['kind']}.yaml"),
+                             output_root=tmp_path)
+        assert code == 0
+        reports[cfg["kind"]] = json.loads((tmp_path / cfg["output_dir"] / "report.json").read_text())
+    zr, rr = reports["zhikov"], reports["roots"]
+    shared = set(zr) & set(rr)
+    assert {"inf_abs_D", "separation_min", "residual_max", "branches"} <= shared
+    assert {k: zr[k] for k in shared} == {k: rr[k] for k in shared}
+    assert not zr["collisions"] and zr["degree"] == 2
+    for i in range(2):
+        z = read_signal_csv(tmp_path / "out/zhikov" / f"branch{i}.csv")
+        r = read_signal_csv(tmp_path / "out/roots" / f"branch{i}.csv")
+        assert np.array_equal(z.values, r.values)
 
 
 @pytest.mark.parametrize("tree", [["neg", ["t"]], ["const", 2.5],

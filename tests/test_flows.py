@@ -15,7 +15,6 @@ from recurlab.flows import (
     fiber_count,
     hull_solutions,
     integrate,
-    paper_contraction_modulus,
     separation_estimate,
     uniform_stability_probe,
 )
@@ -110,10 +109,11 @@ def test_condition_h_params_validation():
 def test_contraction_modulus_initial_value():
     for r in (0.0, 0.5, 2.0):
         assert contraction_modulus(0.0, r, 0.5, 3.0) == pytest.approx(r)
-    # paper form agrees with kappa = 1
+    # at kappa = 1 it is the kappa-free form r (1 + (alpha-2) t r^(alpha-2))^(1/(2-alpha))
     ts = np.linspace(0, 10, 11)
-    assert np.allclose(paper_contraction_modulus(ts, 1.5),
-                       contraction_modulus(ts, 1.5, 1.0, 3.0))
+    r, alpha = 1.5, 3.0
+    assert np.allclose(contraction_modulus(ts, r, 1.0, alpha),
+                       r * (1 + (alpha - 2) * ts * r ** (alpha - 2)) ** (1 / (2 - alpha)))
 
 
 def test_contraction_bound_identical_solutions(sin_forcing):

@@ -15,7 +15,6 @@ from recurlab.recurrence import (
     omega_limit_sample,
     remotely_stationary_test,
     remotely_tau_periodic_test,
-    thap4_equivalence_check,
     translation_set_global,
     translation_set_remote,
 )
@@ -164,13 +163,6 @@ def test_remotely_stationary_decaying_drift():
     ok2, witness = remotely_stationary_test(s2, (0.1,), taus=(0.5, np.pi, 5.0))
     assert not ok2
     assert witness[np.pi] is False
-
-
-def test_thap4_equivalence():
-    cands = TauSpec(lo=TWO_PI, hi=10 * TWO_PI, step=TWO_PI, refine=False)
-    for fn in (lambda t: np.sin(t + np.log1p(t)), np.sin, lambda t: 0 * t + 1.0):
-        s = SampledSignal.from_function(fn, 0.0, 600.0, 0.01)
-        assert thap4_equivalence_check(s, 0.1, cands)
 
 
 # ---------------------------------------------------------------------------
