@@ -374,9 +374,11 @@ def roots_report(p: PolyPath, alpha_claim: float = 0.0, th=None, classify_dt: fl
 
     Tracks the branches; on a collision the report holds only the degree
     and the collision interval, and no branches are returned. Otherwise it
-    adds the residual, the separation certificate against alpha_claim, the
-    root bound and max |root|, and, when thresholds th are given, the
-    recurrence flags of every branch (resampled to classify_dt).
+    adds the residual, the least separation, the root bound, the verdict
+    ``separation_ok`` against alpha_claim (only for a claim above 0, which
+    is the only kind that can fail), max |root|, and, when thresholds th
+    are given, the recurrence flags of every branch (resampled to
+    classify_dt).
     """
     report = {"degree": p.degree, "collisions": []}
     try:
@@ -393,9 +395,10 @@ def roots_report(p: PolyPath, alpha_claim: float = 0.0, th=None, classify_dt: fl
         "inf_abs_D": inf_d,
         "root_bound_ok": bool(ok_bound),
         "root_bound_excess": excess,
-        "separation_ok": bool(ok_sep),
-        "max_abs_root": float(np.max(np.abs(rb.branch_matrix()))),
     })
+    if alpha_claim > 0:
+        report["separation_ok"] = bool(ok_sep)
+    report["max_abs_root"] = float(np.max(np.abs(rb.branch_matrix())))
     if th is not None:
         report["branches"] = [r.flags for r in classify_branches(rb, th, classify_dt)]
     return report, rb

@@ -50,6 +50,8 @@ def load_config(path):
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}", key="kind")
     _check_keys(cfg, _CONFIG_KEYS[kind])
+    if kind == "ode":
+        _check_ode_couplings(cfg)
     return cfg
 
 
@@ -159,6 +161,20 @@ def _check_keys(spec, allowed, path=""):
             if not isinstance(block, dict):
                 raise ConfigError(f"`{block_path}` must be a mapping", key=name)
             _check_keys(block, sub, block_path)
+
+
+def _check_ode_couplings(cfg):
+    """ConfigError for the two ode rules that couple keys: `stability` takes
+    `kappa` and `alpha` together, and `fiber` needs `burn_in` unless
+    `condition_h` supplies the default."""
+    st = cfg.get("stability", {})
+    if ("kappa" in st) != ("alpha" in st):
+        key = "alpha" if "kappa" in st else "kappa"
+        raise ConfigError(f"missing key {key!r} in `stability` (needs `kappa` and `alpha` "
+                          f"together, or neither)", key=key)
+    if "fiber" in cfg and "burn_in" not in cfg["fiber"] and "condition_h" not in cfg:
+        raise ConfigError("missing key 'burn_in' in `fiber` (needs `burn_in`, or `condition_h` "
+                          "for the default)", key="burn_in")
 
 
 def _build_tau(tau, **defaults):
@@ -279,14 +295,8 @@ def _run_ode(cfg, outdir):
                               abs_tol=float(tol.get("abs", 1e-10)),
                               out_dt=float(fb.get("out_dt", 0.05)))
         cluster_tol = float(fb["cluster_tol"])
-        if "burn_in" in fb:
-            burn = float(fb["burn_in"])
-        elif cond_h is not None:
-            # Condition (H) gives the attraction time from the box diameter
-            burn = default_burn_in(cond_h, cluster_tol)
-        else:
-            raise ConfigError("fiber needs burn_in (or condition_h for the default)",
-                              key="burn_in")
+        # without burn_in, Condition (H) gives the attraction time from the box diameter
+        burn = float(fb["burn_in"]) if "burn_in" in fb else default_burn_in(cond_h, cluster_tol)
         fr = fiber_count(runs, burn, cluster_tol)
         report.setdefault("flows", {})["fiber"] = fr.to_dict()
     if "stability" in cfg:
@@ -496,7 +506,7 @@ def run_config(path, output_root=None):
     started = time.time()
     try:
         report, artifacts = _RUNNERS[cfg["kind"]](cfg, outdir)
-    except KeyError as exc:  # a key that another key makes required (stability kappa: alpha)
+    except KeyError as exc:  # a key missing from a file the config names (a roots manifest)
         key = next(iter(exc.args), None)
         raise ConfigError(f"kind={cfg['kind']} config lacks key {key!r}", key=key) from exc
     report_path = outdir / "report.json"

@@ -181,21 +181,25 @@ def _candidates(cands: TauSpec, span: float, error):
     return taus
 
 
-def _scan(taus, cands: TauSpec, eps: float, value, entry) -> TranslationSet:
+def _scan(taus, cands: TauSpec, eps: float, value, entry, refine_value=None) -> TranslationSet:
     """The scan-and-refine loop behind every translation set.
 
     ``value(tau)`` is the candidate's eps-free sup, which passes iff < eps;
-    ``entry(tau, v, refined)`` builds its TranslationEntry. With
-    ``cands.refine`` a near miss, eps <= v < 2 eps, is refined on ``value``
-    by :func:`_local_refine`; the refined tau is kept when it passes and is
-    positive.
+    every candidate gets it exactly. ``entry(tau, v, refined)`` builds its
+    TranslationEntry. With ``cands.refine`` a near miss, eps <= v < 2 eps,
+    is refined by :func:`_local_refine` on ``refine_value`` (``value`` when
+    None), which may return a smaller value instead of a sup that reaches
+    the 2.2 eps cap, as long as it reaches the cap too: such a point is
+    never the refine argmin, because every refine grid holds its centre
+    (to within rounding), whose value is below 2 eps. The refined tau is
+    kept when it passes and is positive.
     """
     entries = []
     for tau in taus:
         v = value(tau)
         entries.append(entry(tau, v, False))
         if cands.refine and eps <= v < 2 * eps:
-            t_best, v_best = _local_refine(value, tau, cands.step, eps)
+            t_best, v_best = _local_refine(refine_value or value, tau, cands.step, eps)
             if v_best < eps and t_best > 0:
                 entries.append(entry(t_best, v_best, True))
     return TranslationSet(eps, entries, Window(0.0, float(np.max(taus))), cands.step)
@@ -220,34 +224,63 @@ def _local_refine(objective, tau0, step, eps, stages=3, pts=13):
     return best_t, best_v
 
 
+#: grid stride of the probe that refinement takes before an exact joint sup
+_PROBE_STRIDE = 64
+
+
+def _strided_shift(v, dt, tau, stride):
+    """Samples of ``shift_values(v, dt, tau)`` at indices 0, stride, 2 stride, ...,
+    with the same bits: the same blend of the same neighbours, taken from strided
+    views."""
+    k, fr, m = shift_offset(len(v), dt, tau)
+    if fr == 0:
+        return v[k:k + m:stride]
+    return (1.0 - fr) * v[k:k + m:stride] + fr * v[k + 1:k + 1 + m:stride]
+
+
+def _joint_sup(flats, dt, tau, cap, probe=False):
+    """Worst sup |v(t+tau) - v(t)| over the flat arrays ``flats``, where
+    v(t+tau) is sampled (inf when fewer than two such points exist). It
+    stops at the first array that reaches ``cap`` and returns that array's
+    sup. With ``probe`` it first compares every _PROBE_STRIDE-th shifted
+    sample of every array and returns the probe's max as soon as that
+    reaches ``cap``: a value >= cap, not the sup."""
+    if probe:
+        for v in flats:
+            sh = _strided_shift(v, dt, tau, _PROBE_STRIDE)
+            val = _kernels.sup_diff(sh, v[:len(sh) * _PROBE_STRIDE:_PROBE_STRIDE])
+            if val >= cap:
+                return val
+    worst = 0.0
+    for v in flats:
+        sh = shift_values(v, dt, tau)
+        if len(sh) < 2:
+            return np.inf
+        val = _kernels.sup_diff_capped(sh, v[:len(sh)], cap)
+        if val > worst:
+            worst = val
+            if worst >= cap:
+                return worst
+    return worst
+
+
 def _joint_set(flats, dt, t0, span, eps, cands: TauSpec) -> TranslationSet:
     """Common Bohr translation set of the flat sample arrays ``flats``.
 
     tau is accepted iff every array v has sup |v(t+tau) - v(t)| < eps where
     v(t+tau) is sampled; the entry records the worst sup and L = t0. The
     cap 2.2 eps lies past the near-miss band, so a candidate stops at the
-    first array that reaches it. ``span`` is the arrays' length in time.
+    first array that reaches it (:func:`_joint_sup`); refinement points
+    take its strided probe first. ``span`` is the arrays' length in time.
     """
     taus = _candidates(cands, span, WindowTooShortError)
     cap = 2.2 * eps
 
-    def joint_sup(tau):
-        worst = 0.0
-        for v in flats:
-            sh = shift_values(v, dt, tau)
-            if len(sh) < 2:
-                return np.inf
-            val = _kernels.sup_diff_capped(sh, v[:len(sh)], cap)
-            if val > worst:
-                worst = val
-                if worst >= cap:
-                    return worst
-        return worst
-
     def entry(tau, v, refined):
         return TranslationEntry(float(tau), v < eps, t0, float(v), refined)
 
-    return _scan(taus, cands, eps, joint_sup, entry)
+    return _scan(taus, cands, eps, lambda tau: _joint_sup(flats, dt, tau, cap), entry,
+                 lambda tau: _joint_sup(flats, dt, tau, cap, probe=True))
 
 
 def translation_set_global(s: SampledSignal, eps: float, cands: TauSpec) -> TranslationSet:
@@ -271,13 +304,19 @@ def _late_sup(base, dt, tau, tail_steps):
                              base[m - 1 - tail_steps:m])
 
 
-def _tail_profile(base, dt, tau):
-    """prof[i] = sup of d = |s(t+tau) - s(t)| from index i on: the reversed
-    cumulative max of d, nonincreasing, so the least tail start with sup < eps
-    is count_nonzero(prof >= eps). The shifted samples stay an unnamed
-    temporary, so numpy reuses their buffer for the difference."""
-    d = np.abs(shift_values(base, dt, tau) - base[:shift_offset(len(base), dt, tau)[2]])
-    return np.maximum.accumulate(d[::-1])[::-1]
+def _tail_diff(base, dt, tau):
+    """d = |s(t+tau) - s(t)| at every grid point where s(t+tau) is sampled. The
+    shifted samples stay an unnamed temporary, so numpy reuses their buffer for
+    the difference."""
+    return np.abs(shift_values(base, dt, tau) - base[:shift_offset(len(base), dt, tau)[2]])
+
+
+def _least_start(d, eps):
+    """Least index i with max(d[i:]) < eps: one past the last d >= eps, 0 when
+    every d is below eps."""
+    late = d[::-1] >= eps
+    last = int(np.argmax(late))
+    return len(d) - last if late[last] else 0
 
 
 #: accepted tails must also cover this fraction of the signal horizon;
@@ -297,8 +336,10 @@ def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> Tran
     A candidate's sup is the one over its latest admissible tail, at least
     one candidate step and MIN_TAIL_SPAN_FRACTION of the horizon long; near
     misses are refined on it. An accepted tau records the least grid L with
-    tail sup < eps, read off its tail profile (built for accepted taus
-    only); a rejected one records the latest tail start and sup.
+    tail sup < eps and that tail's sup, two reads of its difference d
+    (formed for accepted taus only): L is one grid step past the last
+    d >= eps, and the sup is the max of d from there. A rejected one
+    records the latest tail start and sup.
     """
     taus = _candidates(cands, s.span, DomainTooShortError)
     base = _flat(s)
@@ -309,30 +350,31 @@ def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> Tran
             m = shift_offset(len(base), s.dt, tau)[2]
             L = s.t0 + max(0, m - 1 - tail_steps) * s.dt
             return TranslationEntry(float(tau), False, float(L), float(late))
-        prof = _tail_profile(base, s.dt, tau)
-        idx = int(np.count_nonzero(prof >= eps))
-        return TranslationEntry(float(tau), True, float(s.t0 + idx * s.dt), float(prof[idx]),
-                                refined)
+        d = _tail_diff(base, s.dt, tau)
+        idx = _least_start(d, eps)
+        return TranslationEntry(float(tau), True, float(s.t0 + idx * s.dt),
+                                float(np.max(d[idx:])), refined)
 
     return _scan(taus, cands, eps, lambda tau: _late_sup(base, s.dt, tau, tail_steps), entry)
 
 
 def _least_tails(s: SampledSignal, tau: float, eps_grid, min_tail: float):
-    """Least grid L per eps with tail sup < eps (None when no admissible L), from one profile."""
+    """Least grid L per eps with tail sup < eps (None when no admissible L), from one d."""
     base = _flat(s)
     tail_steps = max(1, int(np.ceil(min_tail / s.dt)))
     if _late_sup(base, s.dt, tau, tail_steps) >= max(eps_grid, default=0.0):
         return [None] * len(eps_grid)
-    prof = _tail_profile(base, s.dt, tau)
-    i_max = len(prof) - 1 - tail_steps
-    idx = [int(np.count_nonzero(prof >= eps)) for eps in eps_grid]
+    d = _tail_diff(base, s.dt, tau)
+    i_max = len(d) - 1 - tail_steps
+    idx = [_least_start(d, eps) for eps in eps_grid]
     return [s.t0 + i * s.dt if i <= i_max else None for i in idx]
 
 
 def least_tail_threshold(s: SampledSignal, tau: float, eps: float, min_tail: float):
     """Least grid L with tail sup |s(t+tau)-s(t)| < eps for t >= L, or None.
 
-    L must leave a tail of min_tail; it is read off the tail profile.
+    L must leave a tail of min_tail; it is one grid step past the last
+    point where the difference reaches eps.
     """
     return _least_tails(s, tau, (eps,), min_tail)[0]
 
@@ -340,7 +382,7 @@ def least_tail_threshold(s: SampledSignal, tau: float, eps: float, min_tail: flo
 def remotely_tau_periodic_test(s: SampledSignal, tau: float, eps_grid, min_tail=None):
     """True iff for every eps the translate-by-tau passes the tail test.
 
-    One tail profile serves the whole eps grid. Returns (flag, {eps: L or None}).
+    One difference array serves the whole eps grid. Returns (flag, {eps: L or None}).
     """
     if s.span < 2 * tau:
         raise DomainTooShortError(f"domain {s.span} too short for tau={tau}")
@@ -497,8 +539,11 @@ def _best_alignment(src, tgt, offsets, cap):
 
     Every offset gets an admissible lower bound of its sup: the FFT
     sliding RMS, raised to the sup over probe columns where the RMS is
-    below cap. Exact sups then run in increasing bound order, in growing
-    chunks, until the next bound reaches min(best, cap).
+    below cap. Only the offsets whose bound is still below cap are sorted
+    (stably); exact sups run on them in increasing bound order, in growing
+    chunks, until the next bound reaches min(best, cap). When none is left,
+    the first offset of least bound alone is evaluated, and its value
+    (>= cap) is the attained result.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     if len(offsets) == 0:
@@ -510,7 +555,11 @@ def _best_alignment(src, tgt, offsets, cap):
         probe = np.arange(0, nt, max(1, nt // 256), dtype=np.int64)
         on_probe = _kernels.min_sliding_probe(src, tgt[probe], offsets[live], probe)
         bound[live] = np.maximum(bound[live], on_probe)
-    order = np.argsort(bound, kind="stable")
+        live = live[bound[live] < cap]
+    if len(live):
+        order = live[np.argsort(bound[live], kind="stable")]
+    else:
+        order = np.array([np.argmin(bound)])
     bound = bound[order]
     best, best_k = np.inf, -1
     i, size = 0, 16

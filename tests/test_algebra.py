@@ -12,6 +12,7 @@ from recurlab.algebra import (
     root_bound_check,
     roots_at,
     roots_grid,
+    roots_report,
     separation_certificate,
     track_branches,
     zhikov_pipeline,
@@ -422,3 +423,18 @@ def test_classify_branches_downsampling_consistency():
     fine = classify_branches(rb, th)
     coarse = classify_branches(rb, th, classify_dt=0.02)
     assert [r.flags["ap"] for r in fine] == [r.flags["ap"] for r in coarse]
+
+
+def test_separation_ok_is_reported_only_against_a_positive_claim():
+    # x^2 - (4 + 0.5 sin t): roots +-sqrt(4 + 0.5 sin t), separation >= 2 sqrt(3.5)
+    p = PolyPath.from_functions([lambda t: np.zeros_like(t, dtype=complex),
+                                 lambda t: -(4.0 + 0.5 * np.sin(t)) + 0j], 0.0, 20.0, 0.01)
+    bare, _ = roots_report(p)
+    assert "separation_ok" not in bare and bare["separation_min"] > 3.7
+    for claim, ok in ((1.0, True), (3.7, True), (4.0, False)):
+        report, _ = roots_report(p, claim)
+        assert report["separation_ok"] is ok
+        # the claim adds the verdict and changes nothing else, key order included
+        assert [k for k in report if k != "separation_ok"] == list(bare)
+        assert {k: v for k, v in report.items() if k != "separation_ok"} == bare
+    assert "separation_ok" not in roots_report(p, 0.0)[0]

@@ -322,6 +322,45 @@ def test_missing_required_key_exits_two_from_validate_and_run(source, path, tmp_
     assert not (tmp_path / cfg["output_dir"]).exists()
 
 
+def small_ode_cfg(**blocks):
+    return {"schema": 1, "kind": "ode", "seed": 0, "output_dir": "out/coupled", "rhs": "heq1",
+            "forcing": {"forcing": "sin", "t0": 0.0, "t1": 4.0, "dt": 0.01},
+            "x0": [0.0], "span": 2.0, **blocks}
+
+
+STABILITY = {"delta_grid": [0.1], "eps_grid": [0.5], "restart_times": [0.0], "horizon": 1.0}
+FIBER = {"shifts": [0.0], "x0_set": [[0.0], [1.0]], "horizon": 1.0, "cluster_tol": 0.1}
+CONDITION_H = {"kappa": 0.5, "alpha": 3.0, "box_lo": [-1.0], "box_hi": [1.0]}
+
+#: (blocks of a small ode config, the key that the coupled rule misses)
+COUPLED_KEYS = [
+    ({"stability": {**STABILITY, "kappa": 0.5}}, "alpha"),
+    ({"stability": {**STABILITY, "alpha": 3.0}}, "kappa"),
+    ({"fiber": FIBER}, "burn_in"),
+]
+
+
+@pytest.mark.parametrize("blocks, key", COUPLED_KEYS, ids=["kappa_only", "alpha_only",
+                                                           "fiber_without_burn_in"])
+def test_coupled_ode_key_exits_two_from_validate_and_run(blocks, key, tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, small_ode_cfg(**blocks))
+    for command in (["validate", str(cfg_path)],
+                    ["run", str(cfg_path), "--output-root", str(tmp_path)]):
+        assert main(command) == 2
+        assert f"config error ({key}): missing key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blocks", [
+    {"stability": {**STABILITY, "kappa": 0.5, "alpha": 3.0}},
+    {"stability": STABILITY},
+    {"fiber": FIBER, "condition_h": CONDITION_H},
+    {"fiber": {**FIBER, "burn_in": 0.5}},
+], ids=["kappa_and_alpha", "neither", "burn_in_from_condition_h", "burn_in"])
+def test_coupled_ode_keys_in_full_validate(blocks, tmp_path):
+    assert load_config(write_cfg(tmp_path, small_ode_cfg(**blocks)))["kind"] == "ode"
+
+
 def test_roots_without_a_source_names_both(tmp_path):
     cfg = {"schema": 1, "kind": "roots", "seed": 0, "alpha_claim": 1.0}
     with pytest.raises(ConfigError) as exc:
@@ -405,6 +444,7 @@ def test_zhikov_is_the_roots_report_of_x2_minus_p(tmp_path):
     assert {"inf_abs_D", "separation_min", "residual_max", "branches"} <= shared
     assert {k: zr[k] for k in shared} == {k: rr[k] for k in shared}
     assert not zr["collisions"] and zr["degree"] == 2
+    assert "separation_ok" not in zr  # no claim, so no verdict
     for i in range(2):
         z = read_signal_csv(tmp_path / "out/zhikov" / f"branch{i}.csv")
         r = read_signal_csv(tmp_path / "out/roots" / f"branch{i}.csv")
