@@ -28,10 +28,11 @@ def sup_diff_rows(a, b):
 
 
 def sup_diff_capped(a, b, cap):
-    """Like :func:`sup_diff`; a result >= cap only means "not below cap".
+    """The exact sup, as :func:`sup_diff`; ``cap`` is not read.
 
-    Callers must not rely on the exact value past the cap; this kernel
-    still returns the exact sup.
+    The cap is the caller's decision threshold (a result >= cap means "not
+    below cap"), but the result must stay exact past it: the global
+    translation set records it as the tail_sup of every rejected entry.
     """
     return sup_diff(a, b)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import BranchCollisionError, NonConvergenceError
+from .errors import BranchCollisionError, ConfigError, NonConvergenceError
 from .signal import SampledSignal
 
 #: residual tolerance scale: |P(t, root)| <= RESIDUAL_RTOL * (1 + A(t))^n
@@ -87,7 +87,11 @@ class PolyPath:
         """Load from a manifest JSON {n, files, grid} plus per-coefficient CSVs.
 
         File paths are resolved relative to the manifest; the grid entry is
-        redundant metadata checked against the loaded signals.
+        redundant metadata checked against the loaded signals. A manifest
+        that cannot be read, lacks a nonempty list ``files``, whose ``n``
+        differs from the number of files, names a CSV that cannot be read
+        or whose grid disagrees raises ConfigError(key="manifest") naming
+        the manifest file.
         """
         import json
         import pathlib
@@ -95,16 +99,32 @@ class PolyPath:
         from .signal import read_signal_csv
 
         mpath = pathlib.Path(path)
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-        files = manifest["files"]
+
+        def bad(why):
+            return ConfigError(f"roots manifest {mpath}: {why}", key="manifest")
+
+        try:
+            with open(mpath) as fh:
+                manifest = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise bad(f"cannot be read ({exc})") from exc
+        files = manifest.get("files") if isinstance(manifest, dict) else None
+        if not isinstance(files, list) or not files:
+            raise bad("needs a nonempty list `files` of coefficient CSVs")
         if manifest.get("n") != len(files):
-            raise ValueError("manifest n does not match the number of files")
-        sigs = tuple(read_signal_csv(mpath.parent / f) for f in files)
+            raise bad(f"`n` is {manifest.get('n')!r} but `files` lists {len(files)}")
+        try:
+            sigs = tuple(read_signal_csv(mpath.parent / f) for f in files)
+        except OSError as exc:
+            raise bad(f"cannot read a coefficient CSV ({exc})") from exc
         grid = manifest.get("grid")
         if grid is not None:
-            if abs(sigs[0].dt - grid["dt"]) > 1e-12 or abs(sigs[0].t0 - grid["t0"]) > 1e-9:
-                raise ValueError("manifest grid disagrees with the coefficient CSVs")
+            try:
+                dt, t0 = float(grid["dt"]), float(grid["t0"])
+            except (KeyError, TypeError, ValueError):
+                raise bad("`grid` needs numbers `dt` and `t0`") from None
+            if abs(sigs[0].dt - dt) > 1e-12 or abs(sigs[0].t0 - t0) > 1e-9:
+                raise bad("`grid` disagrees with the coefficient CSVs")
         return PolyPath(sigs, label=manifest.get("label", mpath.stem))
 
     def write_manifest(self, path):

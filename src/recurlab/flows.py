@@ -2,6 +2,12 @@
 check dissipative contraction, separation, stability and omega-limit
 fiber structure.
 
+Every solve is :func:`solve_ivp`, an in-house Dormand-Prince 5(4) pair
+with Shampine's quartic dense output. It repeats the arithmetic of
+scipy 1.17.1's ``solve_ivp(method="RK45", dense_output=True)`` operation
+for operation, so its steps, ``nfev`` and dense values agree with scipy
+bit for bit, without importing ``scipy.integrate``.
+
 The one-sided dissipativity condition Re<x1-x2, f(t,x1)-f(t,x2)> <=
 -kappa |x1-x2|^alpha with alpha > 2 yields the algebraic contraction
 modulus
@@ -13,10 +19,10 @@ kappa-free form r (1 + (alpha-2) t r^(alpha-2))^(1/(2-alpha)); only the
 kappa-aware bound is valid for kappa < 1.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import catalog as _catalog
 from .errors import (
@@ -87,13 +93,169 @@ class ConditionHParams:
 # integration
 # ---------------------------------------------------------------------------
 
+# Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6(1), 1980) and
+# Shampine's quartic dense output (Math. Comp. 46, 1986), entered as
+# scipy 1.17.1's RK45 enters them so that every constant has the same bits.
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+# step-size controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4);
+# the error estimator has order 4
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5
+_EPS = np.finfo(float).eps
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+@dataclass
+class RK45Solution:
+    """Outcome of :func:`solve_ivp`: status 0 reached the end of the span,
+    -1 stopped on a step below ten spacings of t (``message`` says so).
+    ``t`` holds t0 and the end of every accepted step, as scipy's result
+    does, and ``steps`` one (t_old, t, y_old, Q) per accepted step for the
+    dense output."""
+
+    status: int
+    message: str
+    nfev: int
+    t: np.ndarray
+    steps: list
+
+    def sol(self, t):
+        """Dense output at the 1-D times ``t``, shape (n, len(t)).
+
+        Each t is read on the step whose span holds it (the earlier step
+        at a shared end, the first or last step outside the span), and
+        each step evaluates all its times in one ``np.dot``, as scipy's
+        ``OdeSolution`` does."""
+        t = np.asarray(t)
+        order = np.argsort(t)
+        t_sorted = t[order]
+        seg = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1,
+                      0, len(self.steps) - 1)
+        cuts = np.concatenate(([0], np.flatnonzero(np.diff(seg)) + 1, [len(seg)]))
+        out = np.empty((len(self.steps[0][2]), len(t)))
+        for i, j in zip(cuts[:-1], cuts[1:]):
+            t_old, t_new, y_old, q = self.steps[seg[i]]
+            h = t_new - t_old
+            x = (t_sorted[i:j] - t_old) / h
+            y = h * np.dot(q, np.cumprod(np.tile(x, (q.shape[1], 1)), axis=0))
+            y += y_old[:, None]
+            out[:, order[i:j]] = y
+        return out
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, max_step=np.inf) -> RK45Solution:
+    """Integrate y' = fun(t, y), y(t0) = y0 forward over t_span = (t0, t1)
+    by RK45 with dense output: the Dormand-Prince 5(4) pair, local
+    extrapolation, RMS error norm on atol + max(|y|, |y_new|) rtol.
+
+    The arithmetic is scipy 1.17.1's ``solve_ivp(method="RK45",
+    dense_output=True)`` operation for operation: the same starting step
+    (the d0/d1/d2 rule), the same stage sums, the same step clipping and
+    controller, and rtol raised to 100 eps with a warning. So the steps,
+    ``nfev`` and the dense values are scipy's, bit for bit. ``fun`` takes
+    a float t and a float state of shape (n,) and returns shape (n,);
+    exceptions it raises propagate.
+    """
+    t, t_bound = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    if y.ndim != 1 or not np.isfinite(y).all():
+        raise ValueError("y0 must be a finite 1-D state")
+    if not t_bound > t:
+        raise ValueError("t_span must run forward")
+    if max_step <= 0:
+        raise ValueError("max_step must be positive")
+    if rtol < 100 * _EPS:
+        warnings.warn(f"rtol is too small; using rtol = {100 * _EPS}", stacklevel=2)
+        rtol = 100 * _EPS
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    f = rhs(t, y)
+
+    # starting step
+    span = t_bound - t
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, span, max_step)
+
+    ts, steps = [t], []
+    k = np.empty((7, len(y)))
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return RK45Solution(-1, TOO_SMALL_STEP, nfev, np.array(ts), steps)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = rhs(t + _RK_C[s] * h, y + np.dot(k[:s].T, _RK_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _RK_B)
+            f_new = rhs(t + h, y_new)
+            k[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(k.T, _RK_E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        steps.append((t, t_new, y, k.T.dot(_RK_P)))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+    return RK45Solution(0, "The solver successfully reached the end of the integration interval.",
+                        nfev, np.array(ts), steps)
+
+
 def integrate(ivp: IVP) -> SampledSignal:
-    """Adaptive 5(4) Runge-Kutta with dense output, resampled uniformly.
+    """Adaptive 5(4) Runge-Kutta (:func:`solve_ivp`) with dense output,
+    resampled uniformly.
 
     The output grid step is min(max_step, span/1e4); the integrator is
-    deterministic for fixed inputs. Blow-up surfaces as
-    StepSizeUnderflowError, a non-finite field as NonFiniteRhsError. This
-    is the one-member case of :func:`_integrate_family`.
+    deterministic for fixed inputs and agrees with scipy 1.17.1's RK45
+    bit for bit. Blow-up surfaces as StepSizeUnderflowError, a non-finite
+    field as NonFiniteRhsError. This is the one-member case of
+    :func:`_integrate_family`.
     """
     return _integrate_family(ivp, [ivp.x0], [0.0])[0]
 
@@ -102,7 +264,8 @@ def _integrate_family(ivp: IVP, x0s, offsets):
     """Solutions of x' = f(t + offsets[k], x), x(a) = x0s[k], in one solve.
 
     The K members are stacked into one state of length K d and handed to
-    one RK45 call with rtol/sqrt(K) and atol/sqrt(K). RK45 accepts a step
+    one :func:`solve_ivp` call (in-house RK45, scipy's arithmetic bit for
+    bit) with rtol/sqrt(K) and atol/sqrt(K). RK45 accepts a step
     when the RMS of the scaled error over all components is <= 1; with
     the tolerances so scaled, that RMS is sqrt(sum_k e_k^2) >= max_k e_k,
     where e_k is the RMS member k's solo run would see, so every member's
@@ -129,11 +292,9 @@ def _integrate_family(ivp: IVP, x0s, offsets):
         guarded,
         (ivp.t_span.a, ivp.t_span.b),
         x0s.reshape(-1),
-        method="RK45",
         rtol=ivp.rel_tol / np.sqrt(k),
         atol=ivp.abs_tol / np.sqrt(k),
         max_step=ivp.max_step,
-        dense_output=True,
     )
     if sol.status == -1:
         raise StepSizeUnderflowError(sol.message)

@@ -268,10 +268,14 @@ def _joint_set(flats, dt, t0, span, eps, cands: TauSpec) -> TranslationSet:
     """Common Bohr translation set of the flat sample arrays ``flats``.
 
     tau is accepted iff every array v has sup |v(t+tau) - v(t)| < eps where
-    v(t+tau) is sampled; the entry records the worst sup and L = t0. The
-    cap 2.2 eps lies past the near-miss band, so a candidate stops at the
+    v(t+tau) is sampled; the entry records L = t0 and a tail_sup. The cap
+    2.2 eps lies past the near-miss band, so a candidate stops at the
     first array that reaches it (:func:`_joint_sup`); refinement points
-    take its strided probe first. ``span`` is the arrays' length in time.
+    take its strided probe first. So tail_sup is the exact worst sup when
+    that is below 2.2 eps, and otherwise the sup of the first array to
+    reach the cap: a value in [2.2 eps, worst sup]. With one array (the
+    global set) it is always the exact sup. ``span`` is the arrays' length
+    in time.
     """
     taus = _candidates(cands, span, WindowTooShortError)
     cap = 2.2 * eps

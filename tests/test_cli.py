@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -413,6 +416,40 @@ def test_roots_from_manifest(tmp_path):
     code, _ = run_config(write_cfg(tmp_path, cfg, name="roots.yaml"),
                          output_root=tmp_path)
     assert code == 0
+
+
+@pytest.mark.parametrize("manifest, why", [
+    ({"n": 2, "files": ["a.csv"]}, "`n` is 2 but `files` lists 1"),
+    ({"n": 1}, "needs a nonempty list `files`"),
+    ({"n": 1, "files": ["a.csv"]}, "cannot read a coefficient CSV"),
+], ids=["wrong_n", "no_files", "missing_csv"])
+def test_malformed_roots_manifest_exits_two_naming_the_file(manifest, why, tmp_path, capsys):
+    mpath = tmp_path / "poly.json"
+    mpath.write_text(json.dumps(manifest))
+    path = write_cfg(tmp_path, {"schema": 1, "kind": "roots", "seed": 0, "manifest": str(mpath)})
+    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error (manifest): roots manifest {mpath}: ")
+    assert why in err
+
+
+def test_dynamics_runs_leave_scipy_integrate_unimported(tmp_path):
+    # ODE solves use flows' own RK45; an ode (with a hull family and a
+    # stability probe), a dde and a map run must not import scipy.integrate
+    cfgs = [small_ode_cfg(stability={**STABILITY, "kappa": 0.5, "alpha": 3.0},
+                          fiber={**FIBER, "burn_in": 0.5}),
+            small_dde_cfg(), small_map_cfg()]
+    paths = [str(write_cfg(tmp_path, cfg, name=f"{cfg['kind']}.yaml")) for cfg in cfgs]
+    script = ("import sys\n"
+              "from recurlab.cli import run_config\n"
+              f"codes = [run_config(p, {str(tmp_path)!r})[0] for p in {paths!r}]\n"
+              "assert codes == [0, 0, 0], codes\n"
+              "assert 'scipy.integrate' not in sys.modules\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_zhikov_is_the_roots_report_of_x2_minus_p(tmp_path):

@@ -3,7 +3,12 @@ import pytest
 
 from recurlab import flows
 from recurlab.catalog import build_forcing
-from recurlab.errors import BadOrderError, NonFiniteRhsError
+from recurlab.errors import (
+    BadOrderError,
+    NonFiniteRhsError,
+    RecurlabError,
+    StepSizeUnderflowError,
+)
 from recurlab.flows import (
     IVP,
     ConditionHParams,
@@ -59,6 +64,101 @@ def test_integrate_deterministic(sin_forcing):
     a = integrate(IVP(rhs, (0.3,), Window(0, 20), out_dt=0.01))
     b = integrate(IVP(rhs, (0.3,), Window(0, 20), out_dt=0.01))
     assert np.array_equal(a.values, b.values)
+
+
+# ---------------------------------------------------------------------------
+# the in-house RK45 against scipy's
+# ---------------------------------------------------------------------------
+
+def _scipy_rk45(fun, t_span, y0, **kwargs):
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(fun, t_span, y0, method="RK45", dense_output=True, **kwargs)
+
+
+def _solves_with(monkeypatch, solver, run):
+    """run() with flows.solve_ivp bound to ``solver``: its result (or the
+    RecurlabError it raised) and, per solve, [field calls, status, message,
+    nfev, accepted step ends]."""
+    solves = []
+
+    def recording(fun, *args, **kwargs):
+        rec = [0]
+        solves.append(rec)
+
+        def counted(t, y):
+            rec[0] += 1
+            return fun(t, y)
+
+        r = solver(counted, *args, **kwargs)
+        rec += [r.status, r.message, r.nfev, r.t.tolist()]
+        return r
+
+    monkeypatch.setattr(flows, "solve_ivp", recording)
+    try:
+        return run(), solves
+    except RecurlabError as exc:
+        return exc, solves
+
+
+def _linear(rate):
+    return RhsSpec("expr", expr=(["*", ["const", -rate], ["x", 0]],))
+
+
+#: runs through flows whose one solve must match scipy's RK45
+RK45_CASES = {
+    "heq1_k1": lambda f: [integrate(IVP(RhsSpec("catalog:heq1", forcing=f), (0.3,),
+                                        Window(0, 40), 1e-6, 1e-9, out_dt=0.01))],
+    "hull_k9": lambda f: [r.sol for r in hull_solutions(
+        RhsSpec("catalog:heq1", forcing=f), [0.0, 5.0, 10.0], [(-1.0,), (0.0,), (1.0,)],
+        10.0, 1e-6, 1e-9, out_dt=0.05)],
+    "max_step": lambda f: [integrate(IVP(RhsSpec("catalog:linear_decay", forcing=f), (1.0,),
+                                         Window(0, 20), 1e-6, 1e-9, max_step=0.05))],
+    "rejected_steps": lambda f: [integrate(IVP(_linear(50.0), (1.0,), Window(0, 10),
+                                               1e-4, 1e-6))],
+    "blow_up": lambda f: integrate(IVP(RhsSpec("expr", expr=(["*", ["x", 0], ["x", 0]],)),
+                                       (1.0,), Window(0, 2))),
+    "non_finite": lambda f: integrate(IVP(
+        RhsSpec("expr", expr=(["ln", ["-", ["const", 1.0], ["t"]]],)), (0.5,), Window(0, 2))),
+}
+
+
+@pytest.mark.parametrize("case", list(RK45_CASES))
+def test_solve_ivp_is_scipy_rk45_bit_for_bit(case, monkeypatch, sin_forcing):
+    def run():
+        return RK45_CASES[case](sin_forcing)
+
+    ours, our_solves = _solves_with(monkeypatch, flows.solve_ivp, run)
+    theirs, their_solves = _solves_with(monkeypatch, _scipy_rk45, run)
+    # same field calls, status, message, nfev and step ends
+    assert len(our_solves) == 1 and our_solves == their_solves
+    if case == "blow_up":
+        assert isinstance(ours, StepSizeUnderflowError) and type(theirs) is type(ours)
+        assert str(ours) == str(theirs) == flows.TOO_SMALL_STEP
+    elif case == "non_finite":
+        # the message names the time of the first non-finite value
+        assert isinstance(ours, NonFiniteRhsError) and type(theirs) is type(ours)
+        assert str(ours) == str(theirs) and str(ours) != "rhs non-finite at t=0.0"
+    else:
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(ours, theirs))
+        calls, status, _, nfev, ends = our_solves[0]
+        assert status == 0 and calls == nfev
+        if case == "rejected_steps":
+            # two calls to start, six per attempted step
+            assert (nfev - 2) // 6 > len(ends) - 1
+        if case == "max_step":
+            assert len(ends) - 1 >= 400 and np.max(np.diff(ends)) <= 0.05 + 1e-12
+
+
+def test_solve_ivp_raises_a_tiny_rtol_with_a_warning():
+    grid = np.linspace(0.0, 1.0, 101)
+    sols = []
+    for solver in (flows.solve_ivp, _scipy_rk45):
+        with pytest.warns(UserWarning, match="rtol"):
+            sols.append(solver(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
+                               rtol=1e-16, atol=1e-12))
+    ours, theirs = sols
+    assert ours.nfev == theirs.nfev and np.array_equal(ours.sol(grid), theirs.sol(grid))
 
 
 # ---------------------------------------------------------------------------

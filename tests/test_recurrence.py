@@ -528,6 +528,8 @@ def test_translation_sets_match_a_direct_oracle(seed, eps, refine, step):
     for e in joint.entries:
         sups = [float(np.max(_direct_d(m, e.tau))) for m in members]
         assert e.accepted == all(v < eps for v in sups) and e.L == hull.window.a
-        if e.accepted:
-            assert e.tail_sup == max(sups)
+        # below the cap 2.2 eps the worst sup; past it the sup of the first
+        # member to reach the cap, which is at most the worst sup
+        capped = [v for v in sups if v >= 2.2 * eps]
+        assert e.tail_sup == (capped[0] if capped else max(sups)) <= max(sups)
         assert not e.refined or (e.accepted and e.tau > 0)
