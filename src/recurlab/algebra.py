@@ -4,24 +4,25 @@ x^n + a_1(t) x^(n-1) + ... + a_n(t) = 0 with complex coefficient paths.
 Roots come in closed form up to degree 2 and from the eigenvalues of
 each grid point's companion matrix above that (real matrices for real
 paths), Newton-polished and checked against a residual gate; every point
-is solved independently. Continuous branches come from optimal
-assignment between consecutive root multisets, composed along the grid
-over the steps that move a root. Near discriminant zeros the step
-guard refuses to fabricate branches and reports the offending interval
-instead. `roots_report` assembles the certificate (branches, separation,
-root bound, branch classification); the zhikov experiment is x^2 - p(t)
-run through it.
+is solved independently. Each root continues as its nearest root at the
+next grid point, which the step guard makes the optimal assignment at
+every degree, and the step maps are composed along the grid. Near
+discriminant zeros the guard refuses to fabricate branches and reports
+the offending interval instead. `roots_report` assembles the certificate
+(branches, separation, root bound, branch classification); the zhikov
+experiment is x^2 - p(t) run through it.
 """
 
 import functools
-import itertools
+import json
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import BranchCollisionError, ConfigError, NonConvergenceError
-from .signal import SampledSignal
+from .signal import SampledSignal, read_signal_csv, write_signal_csv
 
 #: residual tolerance scale: |P(t, root)| <= RESIDUAL_RTOL * (1 + A(t))^n
 RESIDUAL_RTOL = 1e-10
@@ -84,56 +85,21 @@ class PolyPath:
 
     @staticmethod
     def from_manifest(path):
-        """Load from a manifest JSON {n, files, grid} plus per-coefficient CSVs.
-
-        File paths are resolved relative to the manifest; the grid entry is
-        redundant metadata checked against the loaded signals. A manifest
-        that cannot be read, lacks a nonempty list ``files``, whose ``n``
-        differs from the number of files, names a CSV that cannot be read
-        or whose grid disagrees raises ConfigError(key="manifest") naming
-        the manifest file.
-        """
-        import json
-        import pathlib
-
-        from .signal import read_signal_csv
-
-        mpath = pathlib.Path(path)
-
-        def bad(why):
-            return ConfigError(f"roots manifest {mpath}: {why}", key="manifest")
-
+        """Load from a manifest JSON checked by `_read_manifest` plus its CSVs;
+        a CSV that cannot be read, or whose grid disagrees with the manifest's,
+        is a ConfigError(key="manifest") naming the manifest."""
+        manifest, csvs, grid = _read_manifest(path)
         try:
-            with open(mpath) as fh:
-                manifest = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise bad(f"cannot be read ({exc})") from exc
-        files = manifest.get("files") if isinstance(manifest, dict) else None
-        if not isinstance(files, list) or not files:
-            raise bad("needs a nonempty list `files` of coefficient CSVs")
-        if manifest.get("n") != len(files):
-            raise bad(f"`n` is {manifest.get('n')!r} but `files` lists {len(files)}")
-        try:
-            sigs = tuple(read_signal_csv(mpath.parent / f) for f in files)
+            sigs = tuple(read_signal_csv(c) for c in csvs)
         except OSError as exc:
-            raise bad(f"cannot read a coefficient CSV ({exc})") from exc
-        grid = manifest.get("grid")
-        if grid is not None:
-            try:
-                dt, t0 = float(grid["dt"]), float(grid["t0"])
-            except (KeyError, TypeError, ValueError):
-                raise bad("`grid` needs numbers `dt` and `t0`") from None
-            if abs(sigs[0].dt - dt) > 1e-12 or abs(sigs[0].t0 - t0) > 1e-9:
-                raise bad("`grid` disagrees with the coefficient CSVs")
-        return PolyPath(sigs, label=manifest.get("label", mpath.stem))
+            raise _bad_manifest(path, f"cannot read a coefficient CSV ({exc})") from exc
+        if grid is not None and (abs(sigs[0].dt - grid[0]) > 1e-12
+                                 or abs(sigs[0].t0 - grid[1]) > 1e-9):
+            raise _bad_manifest(path, "`grid` disagrees with the coefficient CSVs")
+        return PolyPath(sigs, label=manifest.get("label", pathlib.Path(path).stem))
 
     def write_manifest(self, path):
         """Write the manifest JSON and one coefficient CSV per a_k."""
-        import json
-        import pathlib
-
-        from .signal import write_signal_csv
-
         mpath = pathlib.Path(path)
         files = []
         for k, c in enumerate(self.coeffs):
@@ -149,6 +115,42 @@ class PolyPath:
         with open(mpath, "w") as fh:
             json.dump(manifest, fh, indent=1)
             fh.write("\n")
+
+
+def _bad_manifest(path, why):
+    return ConfigError(f"roots manifest {path}: {why}", key="manifest")
+
+
+def _read_manifest(path):
+    """(manifest, CSV paths, grid (dt, t0) or None) of a checked roots manifest.
+
+    Raises ConfigError(key="manifest"), naming the file, unless it is JSON
+    with a nonempty list ``files`` of names, an ``n`` equal to its length,
+    numbers ``dt`` and ``t0`` in any ``grid``, and every CSV present (paths
+    are relative to the manifest; the CSVs are not read).
+    """
+    try:
+        mpath = pathlib.Path(path)
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+    except (OSError, TypeError, ValueError) as exc:
+        raise _bad_manifest(path, f"cannot be read ({exc})") from exc
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, list) or not files or not all(isinstance(f, str) for f in files):
+        raise _bad_manifest(path, "needs a nonempty list `files` of coefficient CSVs")
+    if manifest.get("n") != len(files):
+        raise _bad_manifest(path, f"`n` is {manifest.get('n')!r} but `files` lists {len(files)}")
+    grid = manifest.get("grid")
+    if grid is not None:
+        try:
+            grid = float(grid["dt"]), float(grid["t0"])
+        except (KeyError, TypeError, ValueError):
+            raise _bad_manifest(path, "`grid` needs numbers `dt` and `t0`") from None
+    csvs = [mpath.parent / f for f in files]
+    for csv in csvs:
+        if not csv.is_file():
+            raise _bad_manifest(path, f"cannot read a coefficient CSV ({csv} is not a file)")
+    return manifest, csvs, grid
 
 
 def _gated_roots(coefs, where=""):
@@ -270,69 +272,63 @@ def _compose_branches(raw, steps):
     return np.take_along_axis(raw, _prefix_compose(q)[np.cumsum(last)], axis=1)
 
 
-def _match_small_degree(raw, perms):
-    """Branch matrix by per-step optimal assignment raw[k-1] -> raw[k], vectorized.
-
-    The step assignment is independent of the accumulated branch labels, so
-    the (N-1, n!) squared-distance cost table is computed in one pass and
-    its argmin picks each step's permutation; ties keep the
-    lexicographically first. `_compose_branches` composes the steps.
+def _nearest_steps(raw):
+    """(steps, distances, crossed): steps[k][i] indexes the root of raw[k+1]
+    nearest to raw[k][i] (the first on a tie), at distance distances[k][i].
+    crossed[k] marks a step where two roots chose one root; its map is then
+    the identity, so that it still composes.
     """
-    perms_arr = np.array(perms, dtype=np.intp)
-    costs = np.empty((raw.shape[0] - 1, len(perms)))
-    prev = raw[:-1]
-    cur = raw[1:]
-    for pi, pm in enumerate(perms_arr):
-        costs[:, pi] = np.sum(np.abs(cur[:, pm] - prev) ** 2, axis=1)
-    return _compose_branches(raw, perms_arr[np.argmin(costs, axis=1)])
+    prev, cur = raw[:-1], raw[1:]
+    dist = np.full(prev.shape, np.inf)
+    steps = np.zeros(prev.shape, dtype=np.intp)
+    for j in range(raw.shape[1]):
+        d = np.abs(cur[:, j, None] - prev)
+        steps = np.where(d < dist, j, steps)
+        dist = np.minimum(dist, d)
+    crossed = np.any(np.diff(np.sort(steps, axis=1), axis=1) == 0, axis=1)
+    steps[crossed] = np.arange(raw.shape[1])
+    return steps, dist, crossed
 
 
 def track_branches(p: PolyPath) -> RootBranches:
-    """Continuous root branches by per-step optimal assignment.
+    """Continuous root branches by nearest-root continuation.
 
-    Each step matches the roots at t_(k-1) to those at t_k: up to degree 6
-    by the least total squared distance over all n! permutations, above
-    that by `linear_sum_assignment` on the absolute distances. The step
-    maps are then composed along the grid by a prefix scan. Branch order
-    is canonical: the t0 roots sorted by real part, then imaginary part.
-    Raises BranchCollision with the offending interval when per-step
-    motion reaches half the current minimum separation or |D| falls below
-    the collision floor; branches are never fabricated across such an
-    interval.
+    Each root at t_(k-1) continues as its nearest root at t_k; the step
+    maps are composed along the grid by a prefix scan. Branch order is
+    canonical: the t0 roots sorted by real part, then imaginary part.
+    Raises BranchCollision with the offending interval when a step moves a
+    root by half the least separation delta at its start or more, sends
+    two roots to one, or |D| falls below the collision floor.
+
+    If some assignment moves every root by less than delta/2, the triangle
+    inequality puts each root of t_k more than delta/2 from every root of
+    t_(k-1) but its own: that assignment is the nearest-root map and the
+    unique optimum of any cost that grows with distance. If none does, the
+    guard refuses the step. This holds for the computed distances except
+    at ties within rounding of delta/2.
     """
-    n = p.degree
     raw = roots_grid(p)
-    N = raw.shape[0]
-
-    if n <= 6:
-        tracked = _match_small_degree(raw, list(itertools.permutations(range(n))))
-    else:
-        from scipy.optimize import linear_sum_assignment
-
-        steps = [linear_sum_assignment(np.abs(raw[k][None, :] - raw[k - 1][:, None]))[1]
-                 for k in range(1, N)]
-        tracked = _compose_branches(raw, np.array(steps, dtype=np.intp).reshape(N - 1, n))
+    N, n = raw.shape
+    steps, motion, crossed = _nearest_steps(raw)
+    tracked = _compose_branches(raw, steps)
 
     coefs = p.coef_matrix()
     disc_sig = discriminant_signal(p, roots=tracked)
     sep = _pairwise_separation(tracked)
-    # step guard: motion vs current separation, plus the |D| floor
-    if n >= 2:
-        motion = np.abs(np.diff(tracked, axis=0)).max(axis=1)
-        scale = (1.0 + np.max(np.abs(coefs))) ** (n * (n - 1))
-        bad = np.zeros(N, dtype=bool)
-        bad[:N - 1] |= motion >= 0.5 * sep[:N - 1]
-        bad |= np.abs(disc_sig.values[:, 0]) < COLLISION_ABS_D * scale
-        if bad.any():
-            ts = p.times()
-            first = int(np.argmax(bad))
-            last = first
-            while last + 1 < N and bad[min(last + 1, N - 1)]:
-                last += 1
-            raise BranchCollisionError(
-                f"branch collision near t in [{ts[first]:.6g}, {ts[min(last + 1, N - 1)]:.6g}]",
-                interval=(float(ts[first]), float(ts[min(last + 1, N - 1)])),
-            )
+    # step guard (vacuous below degree 2): motion vs separation, crossings, |D| floor
+    scale = (1.0 + np.max(np.abs(coefs))) ** (n * (n - 1))
+    bad = np.zeros(N, dtype=bool)
+    bad[:N - 1] = crossed | (motion.max(axis=1) >= 0.5 * sep[:N - 1])
+    bad |= np.abs(disc_sig.values[:, 0]) < COLLISION_ABS_D * scale
+    if bad.any():
+        ts = p.times()
+        first = int(np.argmax(bad))
+        # the grid point after the run of bad points from first, or the last one
+        end = min(first + int(np.argmin(np.append(bad[first:], False))), N - 1)
+        raise BranchCollisionError(
+            f"branch collision near t in [{ts[first]:.6g}, {ts[end]:.6g}]",
+            interval=(float(ts[first]), float(ts[end])),
+        )
 
     res = np.abs(_kernels.horner(coefs, tracked)[0])
     g = p.grid

@@ -52,6 +52,10 @@ def load_config(path):
     _check_keys(cfg, _CONFIG_KEYS[kind])
     if kind == "ode":
         _check_ode_couplings(cfg)
+    if kind == "roots" and "manifest" in cfg:
+        from .algebra import _read_manifest
+
+        _read_manifest(cfg["manifest"])
     return cfg
 
 

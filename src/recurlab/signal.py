@@ -145,6 +145,11 @@ class SampledSignal:
         if np.any(outside):
             raise WindowOutOfDomainError(f"t={t[outside][0]} outside domain "
                                          f"[{self.t0}, {self.t_end}]")
+        return self._blend(pos)
+
+    def _blend(self, pos):
+        """Linear blend of neighbouring samples at fractional grid indices pos;
+        the end intervals extend past the span and one sample is constant."""
         if len(self) == 1:
             return np.broadcast_to(self.values[0], pos.shape + (self.dim,))
         k = np.clip(np.floor(pos), 0, len(self) - 2).astype(np.intp)
@@ -155,10 +160,7 @@ class SampledSignal:
         """Linear-interpolation resample onto a coarser/finer uniform grid."""
         n_new = int(np.floor(self.span / new_dt + GRID_RTOL)) + 1
         ts = self.t0 + new_dt * np.arange(n_new)
-        pos = (ts - self.t0) / self.dt
-        k = np.clip(np.floor(pos).astype(np.int64), 0, len(self) - 2) if len(self) > 1 else np.zeros(n_new, np.int64)
-        fr = (pos - k)[:, None]
-        vals = (1.0 - fr) * self.values[k] + fr * self.values[np.minimum(k + 1, len(self) - 1)]
+        vals = self._blend((ts - self.t0) / self.dt)
         return SampledSignal(t0=self.t0, dt=new_dt, values=vals,
                              label=self.label if label is None else label)
 
@@ -251,10 +253,7 @@ def _aligned_values(s1: SampledSignal, s2: SampledSignal, w: Window):
         b = s2.values[j0:j0 + (i1 - i0 + 1)]
     else:
         ts = s1.t0 + s1.dt * np.arange(i0, i1 + 1)
-        pos = (ts - s2.t0) / s2.dt
-        k = np.clip(np.floor(pos).astype(np.int64), 0, len(s2) - 2) if len(s2) > 1 else np.zeros(len(ts), np.int64)
-        frv = (pos - k)[:, None]
-        b = (1.0 - frv) * s2.values[k] + frv * s2.values[np.minimum(k + 1, len(s2) - 1)]
+        b = s2._blend((ts - s2.t0) / s2.dt)
     return a, b
 
 

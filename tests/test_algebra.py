@@ -279,7 +279,8 @@ def test_vieta_reconstruction():
 
 def test_degree_seven_branches_by_assignment():
     # x^7 - f(t), f = 0.5 + 0.125 sin t: branch k is f^(1/7) w_k for a
-    # fixed seventh root of unity w_k; degree >= 7 is matched by assignment
+    # fixed seventh root of unity w_k; every root moves far less than half
+    # the separation, so nearest-root continuation is the optimal assignment
     p = PolyPath.from_functions(
         [lambda t: 0 * t] * 6 + [lambda t: -(0.5 + 0.125 * np.sin(t)).astype(complex)],
         0.0, 20.0, 0.01)

@@ -427,24 +427,44 @@ def test_malformed_roots_manifest_exits_two_naming_the_file(manifest, why, tmp_p
     mpath = tmp_path / "poly.json"
     mpath.write_text(json.dumps(manifest))
     path = write_cfg(tmp_path, {"schema": 1, "kind": "roots", "seed": 0, "manifest": str(mpath)})
-    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error (manifest): roots manifest {mpath}: ")
-    assert why in err
+    for command in (["validate", str(path)], ["run", str(path), "--output-root", str(tmp_path)]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error (manifest): roots manifest {mpath}: ")
+        assert why in err
 
 
-def test_dynamics_runs_leave_scipy_integrate_unimported(tmp_path):
-    # ODE solves use flows' own RK45; an ode (with a hull family and a
-    # stability probe), a dde and a map run must not import scipy.integrate
+def test_roots_manifest_that_is_not_a_path_exits_two(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"schema": 1, "kind": "roots", "seed": 0, "manifest": 5})
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error (manifest): roots manifest 5: cannot be read")
+
+
+#: x^7 - (0.5 + 0.125 sin t), seven separated branches
+DEGREE_SEVEN_CFG = {
+    "schema": 1, "kind": "roots", "seed": 0, "output_dir": "out/degree7", "span": 20.0,
+    "dt": 0.01, "label": "degree7",
+    "coefficients": [{"forcing": "zero"}] * 6 + [{"forcing": "sin", "scale": -0.125,
+                                                   "offset": -0.5}],
+    "assertions": [{"path": "degree", "op": "eq", "value": 7},
+                   {"path": "collisions", "op": "eq", "value": []}],
+}
+
+
+def test_runs_leave_scipy_unimported(tmp_path):
+    # ODE solves use flows' own RK45 and branches continue by nearest root;
+    # an ode (with a hull family and a stability probe), a dde, a map and a
+    # degree-7 roots run must not import scipy
     cfgs = [small_ode_cfg(stability={**STABILITY, "kappa": 0.5, "alpha": 3.0},
                           fiber={**FIBER, "burn_in": 0.5}),
-            small_dde_cfg(), small_map_cfg()]
+            small_dde_cfg(), small_map_cfg(), DEGREE_SEVEN_CFG]
     paths = [str(write_cfg(tmp_path, cfg, name=f"{cfg['kind']}.yaml")) for cfg in cfgs]
     script = ("import sys\n"
               "from recurlab.cli import run_config\n"
               f"codes = [run_config(p, {str(tmp_path)!r})[0] for p in {paths!r}]\n"
-              "assert codes == [0, 0, 0], codes\n"
-              "assert 'scipy.integrate' not in sys.modules\n")
+              "assert codes == [0, 0, 0, 0], codes\n"
+              "assert 'scipy' not in sys.modules\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from recurlab import _kernels
-from recurlab.algebra import PolyPath, _compose_branches, _match_small_degree, _prefix_compose, \
+from recurlab.algebra import PolyPath, _compose_branches, _nearest_steps, _prefix_compose, \
     discriminant_signal, root_bound_check, roots_at, track_branches
 from recurlab.errors import EmptyDomainError
 from recurlab.flows import attraction_time, contraction_modulus
@@ -20,6 +20,7 @@ from recurlab.signal import (
     GRID_RTOL,
     SampledSignal,
     Window,
+    _aligned_values,
     d_infinity_estimate,
     read_signal_csv,
     shift_offset,
@@ -113,6 +114,50 @@ def test_scan_shift_is_translate_bit_for_bit(seed, k, frac, on_grid, last):
     ts = s.t0 + s.dt * np.arange(0, len(sh), 37)
     expected = [s.value_at(t + snapped)[0] for t in ts]
     assert np.allclose(sh[::37], expected, rtol=0, atol=1e-12)
+
+
+def reference_blend(v, pos):
+    """Reference: the clip/floor/blend that `resample` and `_aligned_values` wrote out."""
+    k = np.clip(np.floor(pos).astype(np.int64), 0, len(v) - 2) if len(v) > 1 \
+        else np.zeros(len(pos), np.int64)
+    fr = (pos - k)[:, None]
+    return (1.0 - fr) * v[k] + fr * v[np.minimum(k + 1, len(v) - 1)]
+
+
+@given(st.integers(0, 10_000), st.integers(2, 80), st.booleans(), st.integers(1, 2),
+       st.sampled_from([0.3, 0.7, 1.3, 2.9]))
+@settings(max_examples=80, deadline=None)
+def test_one_blend_keeps_the_interpolation_bits(seed, n, cplx, d, ratio):
+    # value_at, resample and the off-grid branch of _aligned_values share one
+    # blend; for two or more samples it must repeat the reference bit for bit
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if cplx else 0.0)
+    s = SampledSignal(t0=rng.uniform(-5, 5), dt=rng.uniform(0.01, 2.0), values=vals)
+    r = s.resample(ratio * s.dt)  # coarsening can reach a hair past the end
+    ts = s.t0 + r.dt * np.arange(len(r))
+    pos = (ts - s.t0) / s.dt
+    assert r.values.tobytes() == reference_blend(s.values, pos).tobytes()
+    inside = pos <= n - 1
+    assert s.value_at(ts[inside]).tobytes() == reference_blend(s.values, pos[inside]).tobytes()
+    t1 = s.t0 + rng.uniform(0.1, 0.9) * s.dt
+    m = int(np.ceil((s.t_end - t1) / (ratio * s.dt))) + 1
+    s1 = SampledSignal(t0=t1, dt=ratio * s.dt, values=np.zeros((m, d)))
+    w = Window(t1, s.t_end)
+    a, b = _aligned_values(s1, s, w)
+    i0, i1 = s1.window_slice(w)
+    ts1 = s1.t0 + s1.dt * np.arange(i0, i1 + 1)
+    assert b.tobytes() == reference_blend(s.values, (ts1 - s.t0) / s.dt).tobytes()
+
+
+def test_one_sample_signal_aligns_as_its_sample():
+    # a one-sample s2 meets s1's grid point a hair before its time: the
+    # blend returns the sample itself
+    v = 0.1 + 0.7j
+    s2 = SampledSignal(t0=1.0, dt=0.3, values=[[v]])
+    s1 = SampledSignal(t0=1.0 - 1e-7, dt=0.1, values=[[0j], [0j]])
+    a, b = _aligned_values(s1, s2, Window(1.0 - 1e-7, 1.0))
+    assert a.shape == b.shape == (1, 1) and b[0, 0] == v
+    assert s2.value_at([1.0, 1.0 + 1e-10]).tolist() == [[v], [v]]
 
 
 def alignment_case(kind, seed, n, nt, exact):
@@ -329,11 +374,12 @@ def test_sparse_composition_equals_the_full_scan(seed, n, N, moved_frac):
     assert np.array_equal(_compose_branches(raw, steps), expected)
 
 
-def test_small_degree_branches_undo_shuffled_roots():
+def test_nearest_root_branches_undo_shuffled_roots():
     # roots of x^3 - e^(0.03it) reshuffled at every step: each branch must stay on its root
     base = np.exp(2j * np.pi * np.arange(3) / 3)
     roots = base[None, :] * np.exp(0.01j * np.arange(50))[:, None]
     perms = list(itertools.permutations(range(3)))
     shuffle = np.array(perms)[np.random.default_rng(3).integers(0, 6, 50)]
-    tracked = _match_small_degree(np.take_along_axis(roots, shuffle, axis=1), perms)
+    shuffled = np.take_along_axis(roots, shuffle, axis=1)
+    tracked = _compose_branches(shuffled, _nearest_steps(shuffled)[0])
     assert np.array_equal(tracked, roots[:, np.lexsort((base.imag.round(12), base.real.round(12)))])
