@@ -15,7 +15,9 @@ from .signal import (
     sup_distance,
     tail_sup_distance,
     d_infinity_estimate,
+    read_signal,
     read_signal_csv,
+    write_signal,
     write_signal_csv,
 )
 from .recurrence import (
@@ -44,7 +46,9 @@ __all__ = [
     "sup_distance",
     "tail_sup_distance",
     "d_infinity_estimate",
+    "read_signal",
     "read_signal_csv",
+    "write_signal",
     "write_signal_csv",
     "TauSpec",
     "Thresholds",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BranchCollisionError, ConfigError, NonConvergenceError
-from .signal import SampledSignal, read_signal_csv, write_signal_csv
+from .signal import SampledSignal, read_signal, write_signal_csv
 
 #: residual tolerance scale: |P(t, root)| <= RESIDUAL_RTOL * (1 + A(t))^n
 RESIDUAL_RTOL = 1e-10
@@ -85,12 +85,13 @@ class PolyPath:
 
     @staticmethod
     def from_manifest(path):
-        """Load from a manifest JSON checked by `_read_manifest` plus its CSVs;
-        a CSV that cannot be read, or whose grid disagrees with the manifest's,
-        is a ConfigError(key="manifest") naming the manifest."""
+        """Load from a manifest JSON checked by `_read_manifest` plus its signal
+        files (CSV, or `.npy` with its sidecar; see `read_signal`); a file that
+        cannot be read, or whose grid disagrees with the manifest's, is a
+        ConfigError(key="manifest") naming the manifest."""
         manifest, csvs, grid = _read_manifest(path)
         try:
-            sigs = tuple(read_signal_csv(c) for c in csvs)
+            sigs = tuple(read_signal(c) for c in csvs)
         except OSError as exc:
             raise _bad_manifest(path, f"cannot read a coefficient CSV ({exc})") from exc
         if grid is not None and (abs(sigs[0].dt - grid[0]) > 1e-12
@@ -122,12 +123,12 @@ def _bad_manifest(path, why):
 
 
 def _read_manifest(path):
-    """(manifest, CSV paths, grid (dt, t0) or None) of a checked roots manifest.
+    """(manifest, signal file paths, grid (dt, t0) or None) of a checked roots manifest.
 
     Raises ConfigError(key="manifest"), naming the file, unless it is JSON
     with a nonempty list ``files`` of names, an ``n`` equal to its length,
-    numbers ``dt`` and ``t0`` in any ``grid``, and every CSV present (paths
-    are relative to the manifest; the CSVs are not read).
+    numbers ``dt`` and ``t0`` in any ``grid``, and every file present (paths
+    are relative to the manifest; the files are not read).
     """
     try:
         mpath = pathlib.Path(path)

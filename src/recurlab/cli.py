@@ -1,4 +1,4 @@
-"""Reproducible experiment runner: configs in, CSV/JSON artifacts out.
+"""Reproducible experiment runner: configs in, `.npy`/CSV/JSON artifacts out.
 
 Subcommands: ``run <config>``, ``catalog``, ``validate <config>``. A run
 writes every declared artifact into its own output directory plus a
@@ -23,7 +23,7 @@ from .catalog import build_forcing, catalog_listing
 from .errors import ConfigError, RecurlabError
 from .recurrence import TauSpec, Thresholds, classify, equi_ap_test, minimality_test, \
     omega_limit_sample
-from .signal import SampledSignal, Window, read_signal_csv, write_signal_csv
+from .signal import SampledSignal, Window, read_signal, write_signal
 
 SCHEMA_VERSION = 1
 
@@ -61,7 +61,7 @@ def load_config(path):
 
 def _build_signal(spec):
     if "file" in spec:
-        return read_signal_csv(spec["file"])
+        return read_signal(spec["file"])
     return build_forcing(spec["forcing"], float(spec.get("t0", 0.0)), float(spec["t1"]),
                          float(spec["dt"]), spec.get("params", {}))
 
@@ -271,11 +271,9 @@ def _run_ode(cfg, outdir):
               max_step=float(cfg.get("max_step", np.inf)),
               out_dt=float(cfg["out_dt"]) if "out_dt" in cfg else None)
     sol = integrate(ivp)
-    sol_path = outdir / "solution.csv"
-    write_signal_csv(sol, sol_path)
+    artifacts = write_signal(sol, outdir / "solution.npy")
     report = {"n_samples": len(sol), "dt": sol.dt,
               "final_state": [float(v) for v in sol.values[-1].real]}
-    artifacts = [sol_path]
 
     if "classify" in cfg:
         report["flows"] = {"classification": _classify_after_burn_in(sol, cfg["classify"])}
@@ -336,17 +334,16 @@ def _run_dde(cfg, outdir):
     r = float(cfg["r"])
     init_cfg = cfg["init"]
     if "file" in init_cfg:
-        init = HistorySegment(r, read_signal_csv(init_cfg["file"]))
+        init = HistorySegment(r, read_signal(init_cfg["file"]))
     else:
         init = HistorySegment.constant(r, float(init_cfg.get("value", 0.0)))
     u = integrate_dde(rhs, init, float(cfg["horizon"]), dt=float(cfg.get("dt", r / 100)))
-    path = outdir / "solution.csv"
-    write_signal_csv(u, path)
+    artifacts = write_signal(u, outdir / "solution.npy")
     ok, ev = precompactness_proxy(u)
     report = {"n_samples": len(u), "dt": u.dt, "precompact_proxy": bool(ok), **ev}
     if "classify" in cfg:
         report["classification"] = _classify_after_burn_in(u, cfg["classify"])
-    return report, [path]
+    return report, artifacts
 
 
 def _run_map(cfg, outdir):
@@ -354,8 +351,7 @@ def _run_map(cfg, outdir):
 
     m = _build_field_spec(MapSpec, cfg, "map")
     sol = iterate(m, np.atleast_1d(cfg["x0"]).astype(float), int(cfg["n_steps"]))
-    path = outdir / "orbit.csv"
-    write_signal_csv(sol, path)
+    artifacts = write_signal(sol, outdir / "orbit.npy")
     report = {"n_steps": int(cfg["n_steps"]),
               "final_state": [float(v) for v in sol.values[-1].real]}
     if "fiber" in cfg:
@@ -367,12 +363,12 @@ def _run_map(cfg, outdir):
         report["maps"] = {"fiber": fr.to_dict()}
     if "classify" in cfg:
         report["classification"] = _classify_after_burn_in(sol, cfg["classify"])
-    return report, [path]
+    return report, artifacts
 
 
 def _coeff_signal(spec, t0, t1, dt):
     if "file" in spec:
-        return read_signal_csv(spec["file"])
+        return read_signal(spec["file"])
     if "expr" in spec:
         from .catalog import eval_expr
 
@@ -387,13 +383,11 @@ def _coeff_signal(spec, t0, t1, dt):
 
 
 def _branch_artifacts(rb, outdir):
-    """Write one CSV per tracked branch; none when tracking met a collision."""
+    """Write one `.npy` per tracked branch; none when tracking met a collision."""
     if rb is None:
         return []
-    paths = [outdir / f"branch{i}.csv" for i in range(rb.degree)]
-    for b, p in zip(rb.branches, paths):
-        write_signal_csv(b, p)
-    return paths
+    return [p for i, b in enumerate(rb.branches)
+            for p in write_signal(b, outdir / f"branch{i}.npy")]
 
 
 def _run_roots(cfg, outdir):

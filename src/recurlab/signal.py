@@ -21,9 +21,6 @@ from .errors import (
 #: relative tolerance for treating times as grid-aligned
 GRID_RTOL = 1e-9
 
-#: rows formatted per `%` call by write_signal_csv
-CSV_BLOCK_ROWS = 4096
-
 
 @dataclass(frozen=True)
 class Window:
@@ -334,7 +331,7 @@ def d_infinity_estimate(s1: SampledSignal, s2: SampledSignal, tail_fraction: flo
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
+# file interchange: `.npy` artifacts and CSV
 # ---------------------------------------------------------------------------
 
 def _sidecar_path(path):
@@ -344,6 +341,65 @@ def _sidecar_path(path):
     return p.with_suffix(".json")
 
 
+def _is_npy(path):
+    return str(path).endswith(".npy")
+
+
+def write_signal(s: SampledSignal, path):
+    """Write s in the format its suffix names, `.npy` else CSV; returns the
+    paths written, the file and its sidecar.
+
+    A `.npy` file holds only the C-contiguous (n, d) values array, float64 or
+    complex128, written by `np.save` without pickle; its sidecar JSON
+    (`foo.npy` -> `foo.json`) records {dim, complex, label, t0, dt}, the
+    grid in json's exact float repr, so `t0 + dt * arange(n)` rebuilds the
+    times bit for bit. Two writes of one signal give identical bytes.
+    Any other suffix goes to :func:`write_signal_csv`.
+    """
+    if _is_npy(path):
+        np.save(path, s.values, allow_pickle=False)
+        _write_sidecar(s, path, t0=float(s.t0), dt=float(s.dt))
+    else:
+        write_signal_csv(s, path)
+    return [path, _sidecar_path(path)]
+
+
+def read_signal(path) -> SampledSignal:
+    """Load a signal written by :func:`write_signal`: `.npy` with its
+    sidecar, else a CSV through :func:`read_signal_csv`.
+
+    A `.npy` file without its sidecar is a FileNotFoundError naming the
+    sidecar; a sidecar without the grid, or an array whose shape or dtype
+    disagrees with the sidecar's `dim` and `complex`, is a ValueError.
+    """
+    if not _is_npy(path):
+        return read_signal_csv(path)
+    side = _sidecar_path(path)
+    try:
+        with open(side) as fh:
+            descriptor = json.load(fh)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"signal file {path} has no sidecar {side}") from None
+    missing = sorted({"dim", "complex", "t0", "dt"} - set(descriptor))
+    if missing:
+        raise ValueError(f"sidecar {side} of signal file {path} lacks {', '.join(missing)}")
+    vals = np.load(path, allow_pickle=False)
+    want = np.complex128 if descriptor["complex"] else np.float64
+    if vals.dtype != want or vals.ndim != 2 or vals.shape[1] != descriptor["dim"]:
+        raise ValueError(f"signal file {path} holds a {vals.dtype} array of shape "
+                         f"{vals.shape}; its sidecar {side} declares dim "
+                         f"{descriptor['dim']}, complex {descriptor['complex']}")
+    return SampledSignal(t0=descriptor["t0"], dt=descriptor["dt"], values=vals,
+                         label=descriptor.get("label", ""))
+
+
+def _write_sidecar(s, path, **grid):
+    descriptor = {"dim": s.dim, "complex": bool(s.is_complex()), "label": s.label, **grid}
+    with open(_sidecar_path(path), "w") as fh:
+        json.dump(descriptor, fh, indent=1)
+        fh.write("\n")
+
+
 def write_signal_csv(s: SampledSignal, path) -> None:
     """Write `t,v0[,v1,...]` CSV plus the sidecar JSON descriptor.
 
@@ -351,8 +407,6 @@ def write_signal_csv(s: SampledSignal, path) -> None:
     separated by `,`, and every line, the header's too, ends in `\n`.
     Complex components are stored as re,im column pairs; the sidecar
     records {dim, complex, label} so the pairing is unambiguous on load.
-    Rows are formatted CSV_BLOCK_ROWS at a time by one `%` over a repeated
-    row template, which gives the bytes `np.savetxt(fmt="%.17g")` gives.
     """
     if s.is_complex():
         header = ",".join(f"v{j}_re,v{j}_im" for j in range(s.dim))
@@ -360,16 +414,8 @@ def write_signal_csv(s: SampledSignal, path) -> None:
         header = ",".join(f"v{j}" for j in range(s.dim))
     # a complex (n, d) array viewed as doubles is its (n, 2d) re,im pairs
     data = np.column_stack([s.times(), s.values.view(np.float64)])
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t," + header + "\n")
-        for i in range(0, len(data), CSV_BLOCK_ROWS):
-            blk = data[i:i + CSV_BLOCK_ROWS]
-            fh.write(row * len(blk) % tuple(blk.ravel().tolist()))
-    descriptor = {"dim": s.dim, "complex": bool(s.is_complex()), "label": s.label}
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(descriptor, fh, indent=1)
-        fh.write("\n")
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header="t," + header, comments="")
+    _write_sidecar(s, path)
 
 
 def read_signal_csv(path) -> SampledSignal:

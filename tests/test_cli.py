@@ -63,10 +63,12 @@ def test_run_writes_artifacts_and_manifest(tmp_path):
     assert code == 0
     outdir = tmp_path / "out/m"
     assert (outdir / "report.json").exists()
-    assert (outdir / "orbit.csv").exists()
+    assert (outdir / "orbit.npy").exists()
     assert manifest["passed"]
     for art in manifest["artifacts"]:
         assert (outdir / art["path"]).exists()
+    # the sidecar carries the time grid, so the digests cover it
+    assert [a["path"] for a in manifest["artifacts"]] == ["report.json", "orbit.npy", "orbit.json"]
 
 
 def test_run_determinism_identical_digests(tmp_path):
@@ -376,7 +378,7 @@ def test_roots_without_a_source_names_both(tmp_path):
                                   "ode_attraction", "ode_condition_h",
                                   "ode_corom1_stationary", "ode_heq1_amerio",
                                   "roots_collision", "roots_rap_quadratic",
-                                  "roots_separated_quadratic"])
+                                  "roots_separated_quadratic", "zhikov_surrogate"])
 def test_fast_shipped_config_runs_and_passes_its_assertions(name, tmp_path):
     path = CONFIG_DIR / f"{name}.yaml"
     code, manifest = run_config(path, output_root=tmp_path)
@@ -477,7 +479,7 @@ def test_zhikov_is_the_roots_report_of_x2_minus_p(tmp_path):
     # signal, the branches and every shared report key agree
     import numpy as np
 
-    from recurlab.signal import read_signal_csv
+    from recurlab.signal import read_signal
 
     grid = {"t0": 0.0, "t1": 100.0, "dt": 0.01}
     thresholds = {"epsilon_grid": [0.25],
@@ -503,8 +505,8 @@ def test_zhikov_is_the_roots_report_of_x2_minus_p(tmp_path):
     assert not zr["collisions"] and zr["degree"] == 2
     assert "separation_ok" not in zr  # no claim, so no verdict
     for i in range(2):
-        z = read_signal_csv(tmp_path / "out/zhikov" / f"branch{i}.csv")
-        r = read_signal_csv(tmp_path / "out/roots" / f"branch{i}.csv")
+        z = read_signal(tmp_path / "out/zhikov" / f"branch{i}.npy")
+        r = read_signal(tmp_path / "out/roots" / f"branch{i}.npy")
         assert np.array_equal(z.values, r.values)
 
 

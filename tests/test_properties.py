@@ -1,6 +1,7 @@
 """Property-based checks of the module invariants."""
 
 import itertools
+import json
 import tempfile
 from pathlib import Path
 
@@ -16,18 +17,19 @@ from recurlab.flows import attraction_time, contraction_modulus
 from recurlab.maps import MapSpec, iterate
 from recurlab.recurrence import _best_alignment
 from recurlab.signal import (
-    CSV_BLOCK_ROWS,
     GRID_RTOL,
     SampledSignal,
     Window,
     _aligned_values,
     d_infinity_estimate,
+    read_signal,
     read_signal_csv,
     shift_offset,
     shift_values,
     sup_distance,
     tail_sup_distance,
     translate,
+    write_signal,
     write_signal_csv,
 )
 
@@ -304,41 +306,69 @@ def csv_values(rng, shape):
     return np.take_along_axis(pool, rng.integers(0, 3, size=(1,) + shape), axis=0)[0]
 
 
-def savetxt_oracle(s, path):
-    """The signal CSV as `np.savetxt` writes it, row by row."""
-    if s.is_complex():
-        cols = np.empty((len(s), 2 * s.dim))
-        cols[:, 0::2] = s.values.real
-        cols[:, 1::2] = s.values.imag
-        header = ",".join(f"v{j}_re,v{j}_im" for j in range(s.dim))
-    else:
-        cols = s.values
-        header = ",".join(f"v{j}" for j in range(s.dim))
-    data = np.column_stack([s.times(), cols])
-    np.savetxt(path, data, delimiter=",", header="t," + header, comments="", fmt="%.17g")
-
-
-@given(st.integers(0, 10_000), st.booleans(), st.integers(1, 3),
-       st.sampled_from([1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                        2 * CSV_BLOCK_ROWS + 1]),
-       st.sampled_from([(0.0, 0.01), (-2.5, 0.5), (1000.0, 1.0)]))
-@settings(max_examples=40, deadline=None)
-def test_signal_csv_bytes_match_savetxt_and_round_trip(seed, cplx, d, n, grid):
+def edge_signal(seed, cplx, d, n, grid):
     vals = csv_values(np.random.default_rng(seed), (n, d, 2) if cplx else (n, d))
     if cplx:
         vals = np.ascontiguousarray(vals).view(np.complex128)[..., 0]
-    s = SampledSignal(t0=grid[0], dt=grid[1], values=vals, label="edge")
+    return SampledSignal(t0=grid[0], dt=grid[1], values=vals, label="edge")
+
+
+SIGNAL_GRIDS = [(0.0, 0.01), (-2.5, 0.5), (1000.0, 1.0), (0.1, 0.003), (-123.456, 1e-3)]
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.integers(1, 3),
+       st.sampled_from([2, 3, 17, 4097]), st.sampled_from(SIGNAL_GRIDS))
+@settings(max_examples=40, deadline=None)
+def test_signal_csv_round_trips_bit_for_bit(seed, cplx, d, n, grid):
+    # n >= 2: a CSV grid needs two samples to load
+    s = edge_signal(seed, cplx, d, n, grid)
     with tempfile.TemporaryDirectory() as tmp:
-        path, oracle = Path(tmp) / "sig.csv", Path(tmp) / "oracle.csv"
+        path = Path(tmp) / "sig.csv"
         write_signal_csv(s, path)
-        savetxt_oracle(s, oracle)
-        assert path.read_bytes() == oracle.read_bytes()
-        if n < 2:
-            return  # a grid needs two samples to load
         back = read_signal_csv(path)
     assert back.t0 == s.t0 and back.label == "edge"
     assert back.values.dtype == s.values.dtype
     assert back.values.tobytes() == s.values.tobytes()  # bit for bit, zero signs included
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.integers(1, 3),
+       st.sampled_from([1, 2, 3, 17, 4097]), st.sampled_from(SIGNAL_GRIDS))
+@settings(max_examples=40, deadline=None)
+def test_npy_signal_round_trips_bit_for_bit_with_identical_bytes(seed, cplx, d, n, grid):
+    s = edge_signal(seed, cplx, d, n, grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp) / "a" / "sig.npy", Path(tmp) / "b" / "sig.npy"
+        first.parent.mkdir()
+        again.parent.mkdir()
+        written = write_signal(s, first)
+        write_signal(s, again)
+        assert written == [first, first.with_suffix(".json")]
+        for p in written:  # the digest contract: one signal, one set of bytes
+            assert p.read_bytes() == (again.parent / p.name).read_bytes()
+        back = read_signal(first)
+    assert back.t0 == s.t0 and back.dt == s.dt and back.label == "edge"
+    assert back.values.dtype == s.values.dtype and back.values.shape == (n, d)
+    assert back.values.tobytes() == s.values.tobytes()  # bit for bit, zero signs included
+    assert back.times().tobytes() == s.times().tobytes()
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.integers(1, 3),
+       st.sampled_from([1, 2, 17, 4097]), st.sampled_from(SIGNAL_GRIDS))
+@settings(max_examples=40, deadline=None)
+def test_csv_and_npy_carry_the_same_numbers(seed, cplx, d, n, grid):
+    # the CSV matrix, t column included, rebuilt from the .npy and its sidecar alone
+    s = edge_signal(seed, cplx, d, n, grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, npy = Path(tmp) / "sig.csv", Path(tmp) / "sig_npy.npy"
+        write_signal_csv(s, csv)
+        write_signal(s, npy)
+        matrix = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        sidecar = json.loads(npy.with_suffix(".json").read_text())
+        vals = np.load(npy)
+    rebuilt = np.column_stack([sidecar["t0"] + sidecar["dt"] * np.arange(len(vals)),
+                               vals.view(np.float64)])
+    assert matrix.shape == rebuilt.shape
+    assert matrix.tobytes() == rebuilt.tobytes()
 
 
 def compose_loop(q):

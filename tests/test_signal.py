@@ -8,10 +8,12 @@ from recurlab.signal import (
     SampledSignal,
     Window,
     d_infinity_estimate,
+    read_signal,
     read_signal_csv,
     sup_distance,
     tail_sup_distance,
     translate,
+    write_signal,
     write_signal_csv,
 )
 
@@ -162,3 +164,42 @@ def test_csv_rejects_jittered_grid(tmp_path):
                header="t,v0", comments="")
     with pytest.raises(ValueError, match="jitter"):
         read_signal_csv(path)
+
+
+def test_npy_signal_keeps_its_grid_in_the_sidecar(tmp_path):
+    s = SampledSignal.from_function(lambda t: np.exp(1j * t), 0.1, 3, 0.003, label="spiral")
+    path = tmp_path / "c.npy"
+    write_signal(s, path)
+    descriptor = json.loads((tmp_path / "c.json").read_text())
+    assert descriptor == {"dim": 1, "complex": True, "label": "spiral", "t0": 0.1, "dt": 0.003}
+    assert np.load(path).dtype == np.complex128
+    back = read_signal(path)
+    assert back.is_complex() and back.label == "spiral"
+    assert np.array_equal(back.values, s.values)
+
+
+def test_read_signal_takes_a_csv_by_its_suffix(tmp_path):
+    s = SampledSignal.from_function(np.sin, 0, 5, 0.01, label="csv")
+    write_signal(s, tmp_path / "sig.csv")
+    back = read_signal(tmp_path / "sig.csv")
+    assert back.label == "csv" and np.array_equal(back.values, s.values)
+
+
+def test_npy_signal_without_its_sidecar_names_it(tmp_path):
+    path = tmp_path / "lone.npy"
+    np.save(path, np.zeros((4, 1)))
+    with pytest.raises(FileNotFoundError, match="no sidecar .*lone.json"):
+        read_signal(path)
+
+
+@pytest.mark.parametrize("descriptor, match", [
+    ({"dim": 2, "complex": False, "t0": 0.0, "dt": 0.1}, "shape"),
+    ({"dim": 1, "complex": True, "t0": 0.0, "dt": 0.1}, "complex True"),
+    ({"dim": 1, "complex": False, "t0": 0.0}, "lacks dt"),
+], ids=["dim", "dtype", "no_grid"])
+def test_npy_signal_that_disagrees_with_its_sidecar_is_refused(descriptor, match, tmp_path):
+    path = tmp_path / "sig.npy"
+    np.save(path, np.zeros((4, 1)))
+    (tmp_path / "sig.json").write_text(json.dumps(descriptor))
+    with pytest.raises(ValueError, match=match):
+        read_signal(path)
