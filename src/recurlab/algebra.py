@@ -1,6 +1,8 @@
 """Time-varying monic polynomial equations: roots, discriminant, branches.
 
-x^n + a_1(t) x^(n-1) + ... + a_n(t) = 0 with complex coefficient paths.
+x^n + a_1(t) x^(n-1) + ... + a_n(t) = 0 with complex coefficient paths,
+scalar signals on one grid (`on_grid` holds the tolerances; a roots config
+builds each path as scale * source + offset, see `cli`).
 Roots come in closed form up to degree 2 and from the eigenvalues of
 each grid point's companion matrix above that (real matrices for real
 paths), Newton-polished and checked against a residual gate; every point
@@ -14,21 +16,25 @@ experiment is x^2 - p(t) run through it.
 """
 
 import functools
-import json
-import pathlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import BranchCollisionError, ConfigError, NonConvergenceError
-from .signal import SampledSignal, read_signal, write_signal_csv
+from .errors import BranchCollisionError, NonConvergenceError
+from .signal import SampledSignal
 
 #: residual tolerance scale: |P(t, root)| <= RESIDUAL_RTOL * (1 + A(t))^n
 RESIDUAL_RTOL = 1e-10
 
 #: no branch continuation once |D| falls below this times the path scale
 COLLISION_ABS_D = 1e-8
+
+
+def on_grid(s, t0, dt, n):
+    """Whether signal s holds n samples from t0 in steps of dt, to the
+    tolerances every PolyPath coefficient meets (1e-9 in t0, 1e-12 in dt)."""
+    return len(s) == n and abs(s.t0 - t0) <= 1e-9 and abs(s.dt - dt) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,7 @@ class PolyPath:
         for c in cs:
             if c.dim != 1:
                 raise ValueError("coefficient signals must be scalar")
-            if len(c) != len(c0) or abs(c.dt - c0.dt) > 1e-12 or abs(c.t0 - c0.t0) > 1e-9:
+            if not on_grid(c, c0.t0, c0.dt, len(c0)):
                 raise ValueError("coefficient signals must share one grid")
         object.__setattr__(self, "coeffs", cs)
 
@@ -82,76 +88,6 @@ class PolyPath:
             for k, f in enumerate(fns)
         )
         return PolyPath(sigs, label=label)
-
-    @staticmethod
-    def from_manifest(path):
-        """Load from a manifest JSON checked by `_read_manifest` plus its signal
-        files (CSV, or `.npy` with its sidecar; see `read_signal`); a file that
-        cannot be read, or whose grid disagrees with the manifest's, is a
-        ConfigError(key="manifest") naming the manifest."""
-        manifest, csvs, grid = _read_manifest(path)
-        try:
-            sigs = tuple(read_signal(c) for c in csvs)
-        except OSError as exc:
-            raise _bad_manifest(path, f"cannot read a coefficient CSV ({exc})") from exc
-        if grid is not None and (abs(sigs[0].dt - grid[0]) > 1e-12
-                                 or abs(sigs[0].t0 - grid[1]) > 1e-9):
-            raise _bad_manifest(path, "`grid` disagrees with the coefficient CSVs")
-        return PolyPath(sigs, label=manifest.get("label", pathlib.Path(path).stem))
-
-    def write_manifest(self, path):
-        """Write the manifest JSON and one coefficient CSV per a_k."""
-        mpath = pathlib.Path(path)
-        files = []
-        for k, c in enumerate(self.coeffs):
-            fname = f"{mpath.stem}_a{k + 1}.csv"
-            write_signal_csv(c, mpath.parent / fname)
-            files.append(fname)
-        manifest = {
-            "n": self.degree,
-            "files": files,
-            "grid": {"t0": self.grid.t0, "dt": self.grid.dt, "len": len(self.grid)},
-            "label": self.label,
-        }
-        with open(mpath, "w") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
-
-
-def _bad_manifest(path, why):
-    return ConfigError(f"roots manifest {path}: {why}", key="manifest")
-
-
-def _read_manifest(path):
-    """(manifest, signal file paths, grid (dt, t0) or None) of a checked roots manifest.
-
-    Raises ConfigError(key="manifest"), naming the file, unless it is JSON
-    with a nonempty list ``files`` of names, an ``n`` equal to its length,
-    numbers ``dt`` and ``t0`` in any ``grid``, and every file present (paths
-    are relative to the manifest; the files are not read).
-    """
-    try:
-        mpath = pathlib.Path(path)
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-    except (OSError, TypeError, ValueError) as exc:
-        raise _bad_manifest(path, f"cannot be read ({exc})") from exc
-    files = manifest.get("files") if isinstance(manifest, dict) else None
-    if not isinstance(files, list) or not files or not all(isinstance(f, str) for f in files):
-        raise _bad_manifest(path, "needs a nonempty list `files` of coefficient CSVs")
-    if manifest.get("n") != len(files):
-        raise _bad_manifest(path, f"`n` is {manifest.get('n')!r} but `files` lists {len(files)}")
-    grid = manifest.get("grid")
-    if grid is not None:
-        try:
-            grid = float(grid["dt"]), float(grid["t0"])
-        except (KeyError, TypeError, ValueError):
-            raise _bad_manifest(path, "`grid` needs numbers `dt` and `t0`") from None
-    csvs = [mpath.parent / f for f in files]
-    for csv in csvs:
-        if not csv.is_file():
-            raise _bad_manifest(path, f"cannot read a coefficient CSV ({csv} is not a file)")
-    return manifest, csvs, grid
 
 
 def _gated_roots(coefs, where=""):

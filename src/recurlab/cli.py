@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import __version__, _kernels
-from .catalog import build_forcing, catalog_listing
+from .catalog import build_forcing, catalog_listing, eval_expr
 from .errors import ConfigError, RecurlabError
 from .recurrence import TauSpec, Thresholds, classify, equi_ap_test, minimality_test, \
     omega_limit_sample
@@ -52,16 +52,23 @@ def load_config(path):
     _check_keys(cfg, _CONFIG_KEYS[kind])
     if kind == "ode":
         _check_ode_couplings(cfg)
-    if kind == "roots" and "manifest" in cfg:
-        from .algebra import _read_manifest
-
-        _read_manifest(cfg["manifest"])
+    if kind == "dde":
+        _check_dde_weights(cfg)
     return cfg
+
+
+def _read_input(path):
+    """The signal of a `file:` input, read by `read_signal`; a file that
+    cannot be read is a ConfigError naming it."""
+    try:
+        return read_signal(str(path))
+    except (OSError, EOFError, ValueError) as exc:  # np.load of an empty file: EOFError
+        raise ConfigError(f"cannot read input file {path}: {exc}", key="file") from exc
 
 
 def _build_signal(spec):
     if "file" in spec:
-        return read_signal(spec["file"])
+        return _read_input(spec["file"])
     return build_forcing(spec["forcing"], float(spec.get("t0", 0.0)), float(spec["t1"]),
                          float(spec["dt"]), spec.get("params", {}))
 
@@ -125,7 +132,7 @@ _CONFIG_KEYS = {
                  fiber=_keys(required=["shifts", "x0_set", "burn_in", "cluster_tol"]),
                  classify=_CLASSIFY),
     "roots": _keys(*_COMMON, "t0", "label", "alpha_claim",
-                   required=[("manifest", ("coefficients", "span", "dt"))],
+                   required=["coefficients", "span", "dt"],
                    coefficients=[_COEFFICIENT],
                    classify=_keys("classify_dt", required=["thresholds"], thresholds=_THRESHOLDS)),
     "zhikov": _keys(*_COMMON, "with_decay", "dd_threshold", "classify_dt",
@@ -179,6 +186,14 @@ def _check_ode_couplings(cfg):
     if "fiber" in cfg and "burn_in" not in cfg["fiber"] and "condition_h" not in cfg:
         raise ConfigError("missing key 'burn_in' in `fiber` (needs `burn_in`, or `condition_h` "
                           "for the default)", key="burn_in")
+
+
+def _check_dde_weights(cfg):
+    """ConfigError unless a dde `weights`, when set, holds one weight per lag
+    (without it every lag weighs -1)."""
+    if "weights" in cfg and np.shape(cfg["weights"]) != np.shape(cfg["lags"]):
+        raise ConfigError(f"`weights` {cfg['weights']!r} needs one weight per lag of "
+                          f"{cfg['lags']!r}", key="weights")
 
 
 def _build_tau(tau, **defaults):
@@ -328,13 +343,12 @@ def _run_dde(cfg, outdir):
     from .delay import DelayRhsSpec, HistorySegment, integrate_dde, precompactness_proxy
 
     forcing = _build_signal(cfg["forcing"]) if "forcing" in cfg else None
-    rhs = DelayRhsSpec(lags=tuple(float(x) for x in cfg["lags"]),
-                       params={"weights": [float(w) for w in cfg.get("weights", [-1.0])]},
-                       forcing=forcing)
+    params = {"weights": [float(w) for w in cfg["weights"]]} if "weights" in cfg else {}
+    rhs = DelayRhsSpec(lags=tuple(float(x) for x in cfg["lags"]), params=params, forcing=forcing)
     r = float(cfg["r"])
     init_cfg = cfg["init"]
     if "file" in init_cfg:
-        init = HistorySegment(r, read_signal(init_cfg["file"]))
+        init = HistorySegment(r, _read_input(init_cfg["file"]))
     else:
         init = HistorySegment.constant(r, float(init_cfg.get("value", 0.0)))
     u = integrate_dde(rhs, init, float(cfg["horizon"]), dt=float(cfg.get("dt", r / 100)))
@@ -367,19 +381,32 @@ def _run_map(cfg, outdir):
 
 
 def _coeff_signal(spec, t0, t1, dt):
+    """One roots coefficient, scale * a + offset (defaults 1 and 0) on the grid
+    t0, t0 + dt, ... <= t1, with a the spec's `file`, `expr` or `forcing`
+    source; a file must hold one column on that grid."""
+    params = spec.get("params", {})
     if "file" in spec:
-        return read_signal(spec["file"])
-    if "expr" in spec:
-        from .catalog import eval_expr
+        from .algebra import on_grid
 
-        return SampledSignal.from_function(
-            lambda ts: np.full(ts.shape, eval_expr(spec["expr"], ts, np.zeros(1)), dtype=complex),
-            t0, t1, dt)
-    base = build_forcing(spec["forcing"], t0, t1, dt, spec.get("params", {}))
+        base, n = _read_input(spec["file"]), SampledSignal.grid_len(t0, t1, dt)
+        if base.dim != 1 or not on_grid(base, t0, dt, n):
+            raise ConfigError(
+                f"coefficient file {spec['file']} holds {len(base)} x {base.dim} samples from "
+                f"t0 {base.t0} in steps of {base.dt}; the config's grid needs {n} x 1 from "
+                f"t0 {t0} in steps of {dt}", key="coefficients")
+    elif "expr" in spec:
+        base = SampledSignal.from_function(
+            lambda ts: np.full(ts.shape, eval_expr(spec["expr"], ts, np.zeros(1), params),
+                               dtype=complex), t0, t1, dt)
+    else:
+        base = build_forcing(spec["forcing"], t0, t1, dt, params)
     vals = base.values[:, 0].astype(complex)
-    scale = float(spec.get("scale", 1.0))
-    off = complex(spec.get("offset", 0.0))
-    return SampledSignal(t0=base.t0, dt=base.dt, values=scale * vals + off)
+    # a key left out keeps the source's bits (adding 0.0 would turn -0.0 into +0.0)
+    if "scale" in spec:
+        vals = float(spec["scale"]) * vals
+    if "offset" in spec:
+        vals = vals + complex(spec["offset"])
+    return SampledSignal(t0=t0, dt=dt, values=vals)
 
 
 def _branch_artifacts(rb, outdir):
@@ -393,12 +420,9 @@ def _branch_artifacts(rb, outdir):
 def _run_roots(cfg, outdir):
     from .algebra import PolyPath, roots_report
 
-    if "manifest" in cfg:
-        path_poly = PolyPath.from_manifest(cfg["manifest"])
-    else:
-        t0, t1, dt = float(cfg.get("t0", 0.0)), float(cfg["span"]), float(cfg["dt"])
-        coeffs = tuple(_coeff_signal(c, t0, t1, dt) for c in cfg["coefficients"])
-        path_poly = PolyPath(coeffs, label=cfg.get("label", "poly"))
+    t0, t1, dt = float(cfg.get("t0", 0.0)), float(cfg["span"]), float(cfg["dt"])
+    path_poly = PolyPath(tuple(_coeff_signal(c, t0, t1, dt) for c in cfg["coefficients"]),
+                         label=cfg.get("label", "poly"))
     th = cdt = None
     if "classify" in cfg:
         th = _build_thresholds(cfg["classify"]["thresholds"])

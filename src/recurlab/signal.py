@@ -162,9 +162,14 @@ class SampledSignal:
                              label=self.label if label is None else label)
 
     @staticmethod
+    def grid_len(t0, t1, dt):
+        """Number of grid points t0 + k dt in [t0, t1], the last within GRID_RTOL."""
+        return int(np.floor((t1 - t0) / dt + GRID_RTOL)) + 1
+
+    @staticmethod
     def from_function(fn, t0, t1, dt, label="", dim=None):
         """Sample a vectorized callable fn(t_array) on [t0, t1]."""
-        n = int(np.floor((t1 - t0) / dt + GRID_RTOL)) + 1
+        n = SampledSignal.grid_len(t0, t1, dt)
         ts = t0 + dt * np.arange(n)
         vals = np.asarray(fn(ts))
         if vals.ndim == 1:

@@ -17,7 +17,7 @@ from recurlab.algebra import (
     track_branches,
     zhikov_pipeline,
 )
-from recurlab.errors import BranchCollisionError, ConfigError, NonConvergenceError
+from recurlab.errors import BranchCollisionError, NonConvergenceError
 from recurlab.recurrence import TauSpec, Thresholds
 from recurlab.signal import SampledSignal
 
@@ -381,35 +381,6 @@ def test_zhikov_pure_decay_trackable_window():
     ends = [abs(b.values[-1, 0]) for b in rb.branches]
     assert max(ends) < 2 * np.exp(-14 / 2) + 1e-6
     assert all(flags["remotely_stationary"] for flags in report["branches"])
-
-
-def test_polypath_manifest_roundtrip(tmp_path):
-    p = PolyPath.from_functions(
-        [lambda t: np.exp(1j * 0.2 * t), lambda t: -(2 + np.cos(t)).astype(complex)],
-        0.0, 20.0, 0.01, label="pair")
-    mpath = tmp_path / "poly.json"
-    p.write_manifest(mpath)
-    back = PolyPath.from_manifest(mpath)
-    assert back.degree == 2
-    assert back.label == "pair"
-    for a, b in zip(p.coeffs, back.coeffs):
-        assert np.allclose(a.values, b.values)
-        assert b.dt == pytest.approx(a.dt)
-
-
-def test_polypath_manifest_grid_must_match_its_csvs(tmp_path):
-    import json
-
-    p = PolyPath.from_functions([lambda t: 0 * t, lambda t: -(2 + np.cos(t)).astype(complex)],
-                                0.0, 5.0, 0.01)
-    mpath = tmp_path / "poly.json"
-    p.write_manifest(mpath)
-    manifest = json.loads(mpath.read_text())
-    manifest["grid"]["dt"] = 0.02
-    mpath.write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError, match="`grid` disagrees") as exc:
-        PolyPath.from_manifest(mpath)
-    assert exc.value.key == "manifest" and str(mpath) in str(exc.value)
 
 
 def test_hull_coherence_discriminant_floor():

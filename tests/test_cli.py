@@ -297,8 +297,7 @@ def test_perfbench_configs_load(size, tmp_path):
     assert n == 10
 
 
-#: (shipped config, path of a key its runner needs); the roots config keeps
-#: `span` and `dt`, so without `coefficients` it has neither of its sources
+#: (shipped config, path of a key its runner needs)
 REQUIRED_KEYS = [
     ("omega_heq1_forcing", ("shifts", "n")),
     ("omega_heq1_forcing", ("equi_ap", "tau", "hi")),
@@ -366,12 +365,12 @@ def test_coupled_ode_keys_in_full_validate(blocks, tmp_path):
     assert load_config(write_cfg(tmp_path, small_ode_cfg(**blocks)))["kind"] == "ode"
 
 
-def test_roots_without_a_source_names_both(tmp_path):
-    cfg = {"schema": 1, "kind": "roots", "seed": 0, "alpha_claim": 1.0}
+def test_roots_without_coefficients_names_the_key(tmp_path):
+    cfg = {"schema": 1, "kind": "roots", "seed": 0, "span": 1.0, "dt": 0.1, "alpha_claim": 1.0}
     with pytest.raises(ConfigError) as exc:
         load_config(write_cfg(tmp_path, cfg))
-    assert exc.value.key == "manifest"
-    assert "`manifest` or `coefficients`, `span`, `dt`" in str(exc.value)
+    assert exc.value.key == "coefficients"
+    assert str(exc.value) == "missing key 'coefficients' in the config"
 
 
 @pytest.mark.parametrize("name", ["classify_rap_sin_log", "map_corom1_periodic",
@@ -399,48 +398,148 @@ def test_fast_shipped_config_runs_and_passes_its_assertions(name, tmp_path):
     assert written.read_bytes() == fresh.read_bytes()
 
 
-def test_roots_from_manifest(tmp_path):
+@pytest.mark.parametrize("suffix", [".npy", ".csv"])
+def test_roots_from_coefficient_files(suffix, tmp_path):
+    # signal files written by write_signal are coefficients of the next run:
+    # on the config's grid they give the report of the config that samples them
     import numpy as np
 
     from recurlab.algebra import PolyPath
+    from recurlab.signal import write_signal
 
     p = PolyPath.from_functions(
-        [lambda t: 0 * t, lambda t: -(3 + np.sin(t)).astype(complex)],
-        0.0, 100.0, 0.01, label="fromfile")
-    p.write_manifest(tmp_path / "poly.json")
-    cfg = {
-        "schema": 1, "kind": "roots", "seed": 0, "output_dir": "out/manifest",
-        "manifest": str(tmp_path / "poly.json"),
-        "alpha_claim": 2.0,
-        "assertions": [{"path": "separation_ok", "op": "is", "value": True},
-                       {"path": "degree", "op": "eq", "value": 2}],
-    }
-    code, _ = run_config(write_cfg(tmp_path, cfg, name="roots.yaml"),
-                         output_root=tmp_path)
-    assert code == 0
+        [lambda t: 0 * t, lambda t: -(3 + np.sin(t)).astype(complex)], 0.0, 100.0, 0.01)
+    for k, c in enumerate(p.coeffs):
+        write_signal(c, tmp_path / f"a{k + 1}{suffix}")
+    base = {"schema": 1, "kind": "roots", "seed": 0, "span": 100.0, "dt": 0.01,
+            "label": "fromfile", "alpha_claim": 2.0,
+            "assertions": [{"path": "separation_ok", "op": "is", "value": True},
+                           {"path": "degree", "op": "eq", "value": 2}]}
+    cfgs = {"files": [{"file": str(tmp_path / f"a{k}{suffix}")} for k in (1, 2)],
+            "sampled": [{"forcing": "zero"}, {"forcing": "sin", "scale": -1.0, "offset": -3.0}]}
+    reports = {}
+    for name, coefficients in cfgs.items():
+        cfg = {**base, "output_dir": f"out/{name}", "coefficients": coefficients}
+        code, _ = run_config(write_cfg(tmp_path, cfg, name=f"{name}.yaml"), output_root=tmp_path)
+        assert code == 0
+        reports[name] = (tmp_path / "out" / name / "report.json").read_bytes()
+    assert reports["files"] == reports["sampled"]
 
 
-@pytest.mark.parametrize("manifest, why", [
-    ({"n": 2, "files": ["a.csv"]}, "`n` is 2 but `files` lists 1"),
-    ({"n": 1}, "needs a nonempty list `files`"),
-    ({"n": 1, "files": ["a.csv"]}, "cannot read a coefficient CSV"),
-], ids=["wrong_n", "no_files", "missing_csv"])
-def test_malformed_roots_manifest_exits_two_naming_the_file(manifest, why, tmp_path, capsys):
-    mpath = tmp_path / "poly.json"
-    mpath.write_text(json.dumps(manifest))
-    path = write_cfg(tmp_path, {"schema": 1, "kind": "roots", "seed": 0, "manifest": str(mpath)})
+def roots_with(coefficient, **grid):
+    """A roots config whose a_2 is ``coefficient``, on [0, 100] in steps of 0.01 over ``grid``."""
+    return {"schema": 1, "kind": "roots", "seed": 0, "output_dir": "out/r", "span": 100.0,
+            "dt": 0.01, **grid, "coefficients": [{"forcing": "zero"}, coefficient]}
+
+
+#: a config builder for each kind of `file:` input, given its spec
+FILE_INPUTS = {
+    "classify_signal": lambda spec: {**small_classify_cfg(), "signal": spec},
+    "dde_init": lambda spec: {**small_dde_cfg(), "init": spec},
+    "roots_coefficient": roots_with,
+}
+
+
+@pytest.mark.parametrize("name", ["missing_csv.csv", "missing.npy", "no_sidecar.npy",
+                                  "empty.npy", "garbled.csv"])
+@pytest.mark.parametrize("kind", FILE_INPUTS)
+def test_unreadable_input_file_exits_two_naming_it(kind, name, tmp_path, capsys):
+    import numpy as np
+
+    from recurlab.signal import SampledSignal, write_signal
+
+    bad = tmp_path / name
+    if name == "no_sidecar.npy":
+        np.save(bad, np.zeros((3, 1)))
+    elif name == "empty.npy":
+        write_signal(SampledSignal.from_function(np.sin, 0.0, 1.0, 0.5), bad)
+        bad.write_bytes(b"")
+    elif name == "garbled.csv":
+        bad.write_text("t,v0\n0,x\n1,y\n")
+    path = write_cfg(tmp_path, FILE_INPUTS[kind]({"file": str(bad)}))
+    assert main(["validate", str(path)]) == 0  # validate opens no input file
+    capsys.readouterr()
+    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error (file): cannot read input file {bad}: ")
+
+
+@pytest.mark.parametrize("source", ["expr", "file"])
+def test_scale_and_offset_map_a_coefficient_source(source, tmp_path):
+    import numpy as np
+
+    from recurlab.cli import _coeff_signal
+    from recurlab.signal import SampledSignal, write_signal
+
+    a = SampledSignal.from_function(np.cos, 0.0, 2.0, 0.01)
+    write_signal(a, tmp_path / "a.npy")
+    spec = {"expr": ["cos", ["t"]]} if source == "expr" else {"file": str(tmp_path / "a.npy")}
+    s = _coeff_signal({**spec, "scale": 100.0, "offset": 5.0}, 0.0, 2.0, 0.01)
+    assert np.array_equal(s.values[:, 0], 100.0 * a.values[:, 0] + 5.0)
+
+
+def test_params_reach_an_expr_coefficient():
+    import numpy as np
+
+    from recurlab.cli import _coeff_signal
+
+    s = _coeff_signal({"expr": ["*", ["param", "c"], ["t"]], "params": {"c": 2.5}},
+                      0.0, 1.0, 0.1)
+    assert np.array_equal(s.values[:, 0], 2.5 * s.times())
+
+
+@pytest.mark.parametrize("grid, dim", [
+    ({"dt": 0.02}, 1), ({"t0": 1.0}, 1), ({"span": 50.0}, 1),
+    ({"t0": 3.0, "span": 7.0, "dt": 0.5}, 1), ({}, 2),
+], ids=["dt", "t0", "span", "all_three", "two_columns"])
+def test_coefficient_file_off_the_config_grid_exits_two_naming_it(grid, dim, tmp_path, capsys):
+    import numpy as np
+
+    from recurlab.signal import SampledSignal, write_signal
+
+    f = tmp_path / "a2.npy"
+    write_signal(SampledSignal.from_function(lambda t: np.tile(np.cos(t)[:, None], dim),
+                                             0.0, 100.0, 0.01), f)
+    path = write_cfg(tmp_path, roots_with({"file": str(f)}, **grid))
+    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error (coefficients): coefficient file {f} holds ")
+
+
+def test_dde_weights_default_to_minus_one_per_lag(tmp_path):
+    reports = []
+    for name, weights in (("default", {}), ("explicit", {"weights": [-1, -1]})):
+        cfg = {**small_dde_cfg(), "lags": [0.0, -1.0], "output_dir": f"out/{name}", **weights}
+        code, _ = run_config(write_cfg(tmp_path, cfg, name=f"{name}.yaml"), output_root=tmp_path)
+        assert code == 0
+        reports.append((tmp_path / "out" / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("weights", [[-1.0], [-1.0, -1.0, -1.0], -1.0])
+def test_dde_weights_of_another_length_than_lags_exit_two(weights, tmp_path, capsys):
+    path = write_cfg(tmp_path, {**small_dde_cfg(), "lags": [0.0, -1.0], "weights": weights})
     for command in (["validate", str(path)], ["run", str(path), "--output-root", str(tmp_path)]):
         assert main(command) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error (manifest): roots manifest {mpath}: ")
-        assert why in err
+        assert capsys.readouterr().err.startswith("config error (weights): `weights` ")
+    assert not (tmp_path / "out" / "d").exists()
 
 
-def test_roots_manifest_that_is_not_a_path_exits_two(tmp_path, capsys):
-    path = write_cfg(tmp_path, {"schema": 1, "kind": "roots", "seed": 0, "manifest": 5})
-    assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error (manifest): roots manifest 5: cannot be read")
+def test_readme_lists_each_kinds_top_level_keys():
+    # the README's per-kind key table must follow the schema
+    import re
+
+    from recurlab.cli import _COMMON, _CONFIG_KEYS
+
+    text = (CONFIG_DIR.parent / "README.md").read_text()
+    intro, table = text.split("Each kind accepts these top-level keys")[1].split("\n\n")[:2]
+    assert re.findall(r"`(\w+)`", intro) == list(_COMMON)
+    listed = {}
+    for row in table.splitlines()[2:]:
+        kind, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        assert kind not in listed
+        listed[kind] = sorted(re.findall(r"`(\w+)`", keys.split(";")[0]))
+    assert listed == {kind: sorted(set(keys) - set(_COMMON)) for kind, keys in _CONFIG_KEYS.items()}
 
 
 #: x^7 - (0.5 + 0.125 sin t), seven separated branches
