@@ -100,9 +100,8 @@ def _keys(*names, required=(), **blocks):
 #: a signal spec (`signal`, and `forcing` of the system kinds) and one roots coefficient
 _SIGNAL = _keys("t0", "params", required=[("file", ("forcing", "t1", "dt"))])
 _COEFFICIENT = _keys("params", "scale", "offset", required=[("file", "expr", "forcing")])
-_SCALAR_THRESHOLDS = ("gap_bound_factor", "range_bound", "equicontinuity_bound")
 _TAU = _keys("lo", "hi", "step", "refine")
-_THRESHOLDS = _keys("stationary_taus", *_SCALAR_THRESHOLDS, required=["epsilon_grid"], tau=_TAU)
+_THRESHOLDS = _keys(required=["epsilon_grid"], tau=_TAU)
 _CLASSIFY = _keys("burn_in", required=["thresholds"], thresholds=_THRESHOLDS)
 
 _COMMON = ("schema", "kind", "seed", "output_dir", "assertions")
@@ -111,14 +110,14 @@ _COMMON = ("schema", "kind", "seed", "output_dir", "assertions")
 #: their own; load_config refuses any other key, at the top level or inside
 #: a block, and any config that lacks a required one
 _CONFIG_KEYS = {
-    "classify": _keys(*_COMMON, "restrict", "write_translation_set",
+    "classify": _keys(*_COMMON, "write_translation_set",
                       required=["signal", "thresholds"], signal=_SIGNAL, thresholds=_THRESHOLDS),
     "omega": _keys(*_COMMON, required=["signal", "shifts", "window_len", "cluster_tol"],
                    signal=_SIGNAL, shifts=_keys(required=["start", "step", "n"]),
-                   equi_ap=_keys("gap_bound_factor", required=["eps", "tau"],
+                   equi_ap=_keys(required=["eps", "tau"],
                                  tau=_keys("lo", "step", "refine", required=["hi"])),
                    minimality=_keys("n_probes", "slide_span", required=["eps"])),
-    "ode": _keys(*_COMMON, "params", "max_step", "out_dt", required=["rhs", "x0", "span"],
+    "ode": _keys(*_COMMON, "params", "out_dt", required=["rhs", "x0", "span"],
                  forcing=_SIGNAL, tolerances=_keys("rel", "abs"), classify=_CLASSIFY,
                  condition_h=_keys("n_pairs", "t_samples",
                                    required=["kappa", "alpha", "box_lo", "box_hi"]),
@@ -196,19 +195,22 @@ def _check_dde_weights(cfg):
                           f"{cfg['lags']!r}", key="weights")
 
 
+def _given(spec, **convert):
+    """{key: convert[key](spec[key])} for the keys of ``convert`` that spec
+    sets; a key it leaves out takes the default of the call it is passed to."""
+    return {key: conv(spec[key]) for key, conv in convert.items() if key in spec}
+
+
 def _build_tau(tau, **defaults):
     """TauSpec from a `tau` block over ``defaults``; a key without a default is required."""
-    tau = {"refine": True, **defaults, **tau}
-    return TauSpec(float(tau["lo"]), float(tau["hi"]), float(tau["step"]), bool(tau["refine"]))
+    tau = {**defaults, **tau}
+    return TauSpec(float(tau["lo"]), float(tau["hi"]), float(tau["step"]),
+                   **_given(tau, refine=bool))
 
 
 def _build_thresholds(spec):
-    kwargs = {key: float(spec[key]) for key in _SCALAR_THRESHOLDS if key in spec}
-    if "stationary_taus" in spec:
-        kwargs["stationary_taus"] = tuple(float(x) for x in spec["stationary_taus"])
     cands = _build_tau(spec.get("tau", {}), lo=np.pi / 2, hi=400.0, step=np.pi / 2)
-    return Thresholds(epsilon_grid=tuple(float(e) for e in spec["epsilon_grid"]),
-                      tau_candidates=cands, **kwargs)
+    return Thresholds(tuple(float(e) for e in spec["epsilon_grid"]), cands)
 
 
 def _classify_after_burn_in(sol, sub):
@@ -235,11 +237,7 @@ def _build_field_spec(cls, cfg, key):
 # ---------------------------------------------------------------------------
 
 def _run_classify(cfg, outdir):
-    s = _build_signal(cfg["signal"])
-    if "restrict" in cfg:
-        s = s.restrict(Window(float(cfg["restrict"][0]), float(cfg["restrict"][1])))
-    th = _build_thresholds(cfg["thresholds"])
-    rep = classify(s, th)
+    rep = classify(_build_signal(cfg["signal"]), _build_thresholds(cfg["thresholds"]))
     artifacts = []
     if cfg.get("write_translation_set", False):
         path = outdir / "translation_set.csv"
@@ -261,15 +259,13 @@ def _run_omega(cfg, outdir):
     if "equi_ap" in cfg:
         e = cfg["equi_ap"]
         cands = _build_tau(e.get("tau", {}), lo=2 * np.pi, step=2 * np.pi)
-        flag, ts = equi_ap_test(hull, float(e["eps"]), cands,
-                                float(e.get("gap_bound_factor", 3.0)))
+        flag, ts = equi_ap_test(hull, float(e["eps"]), cands)
         report["equi_ap"] = {"flag": bool(flag), "max_gap": ts.max_gap,
                              "n_accepted": int(len(ts.accepted_taus()))}
     if "minimality" in cfg:
         mcfg = cfg["minimality"]
         flag, ev = minimality_test(hull, float(mcfg["eps"]),
-                                   n_probes=int(mcfg.get("n_probes", 4)),
-                                   slide_span=float(mcfg["slide_span"]) if "slide_span" in mcfg else None)
+                                   **_given(mcfg, n_probes=int, slide_span=float))
         report["minimality"] = {"flag": bool(flag), "worst": ev["worst"]}
     return report, []
 
@@ -280,12 +276,10 @@ def _run_ode(cfg, outdir):
 
     rhs = _build_field_spec(RhsSpec, cfg, "rhs")
     x0 = tuple(np.atleast_1d(cfg["x0"]).astype(float))
-    tol = cfg.get("tolerances", {})
-    ivp = IVP(rhs, x0, Window(0.0, float(cfg["span"])),
-              rel_tol=float(tol.get("rel", 1e-8)), abs_tol=float(tol.get("abs", 1e-10)),
-              max_step=float(cfg.get("max_step", np.inf)),
-              out_dt=float(cfg["out_dt"]) if "out_dt" in cfg else None)
-    sol = integrate(ivp)
+    # rel_tol, abs_tol of the main solve, the hull family and the stability probe
+    tol = {f"{key}_tol": float(v) for key, v in cfg.get("tolerances", {}).items()}
+    sol = integrate(IVP(rhs, x0, Window(0.0, float(cfg["span"])), **tol,
+                        **_given(cfg, out_dt=float)))
     artifacts = write_signal(sol, outdir / "solution.npy")
     report = {"n_samples": len(sol), "dt": sol.dt,
               "final_state": [float(v) for v in sol.values[-1].real]}
@@ -298,7 +292,7 @@ def _run_ode(cfg, outdir):
         cond_h = ConditionHParams(kappa=float(hc["kappa"]), alpha=float(hc["alpha"]),
                                   sample_box=(tuple(np.atleast_1d(hc["box_lo"]).astype(float)),
                                               tuple(np.atleast_1d(hc["box_hi"]).astype(float))),
-                                  n_pairs=int(hc.get("n_pairs", 10000)))
+                                  **_given(hc, n_pairs=int))
         report["condition_h_margin"] = condition_h_margin(rhs, cond_h, hc.get("t_samples", [0.0]),
                                                           seed=int(cfg.get("seed", 0)))
     if "fiber" in cfg:
@@ -307,10 +301,7 @@ def _run_ode(cfg, outdir):
         fb = cfg["fiber"]
         runs = hull_solutions(rhs, [float(h) for h in fb["shifts"]],
                               [tuple(np.atleast_1d(x).astype(float)) for x in fb["x0_set"]],
-                              float(fb["horizon"]),
-                              rel_tol=float(tol.get("rel", 1e-8)),
-                              abs_tol=float(tol.get("abs", 1e-10)),
-                              out_dt=float(fb.get("out_dt", 0.05)))
+                              float(fb["horizon"]), **tol, out_dt=float(fb.get("out_dt", 0.05)))
         cluster_tol = float(fb["cluster_tol"])
         # without burn_in, Condition (H) gives the attraction time from the box diameter
         burn = float(fb["burn_in"]) if "burn_in" in fb else default_burn_in(cond_h, cluster_tol)
@@ -326,8 +317,7 @@ def _run_ode(cfg, outdir):
         probe = uniform_stability_probe(
             rhs, ref, [float(d) for d in st["delta_grid"]],
             [float(e) for e in st["eps_grid"]],
-            [float(t) for t in st["restart_times"]], float(st["horizon"]),
-            rel_tol=float(tol.get("rel", 1e-8)), abs_tol=float(tol.get("abs", 1e-10)),
+            [float(t) for t in st["restart_times"]], float(st["horizon"]), **tol,
             h_params=h_params)
         report.setdefault("flows", {})["stability"] = {
             "stability": {f"{k:g}": v for k, v in probe["stability"].items()},
@@ -351,7 +341,7 @@ def _run_dde(cfg, outdir):
         init = HistorySegment(r, _read_input(init_cfg["file"]))
     else:
         init = HistorySegment.constant(r, float(init_cfg.get("value", 0.0)))
-    u = integrate_dde(rhs, init, float(cfg["horizon"]), dt=float(cfg.get("dt", r / 100)))
+    u = integrate_dde(rhs, init, float(cfg["horizon"]), **_given(cfg, dt=float))
     artifacts = write_signal(u, outdir / "solution.npy")
     ok, ev = precompactness_proxy(u)
     report = {"n_samples": len(u), "dt": u.dt, "precompact_proxy": bool(ok), **ev}
@@ -423,12 +413,10 @@ def _run_roots(cfg, outdir):
     t0, t1, dt = float(cfg.get("t0", 0.0)), float(cfg["span"]), float(cfg["dt"])
     path_poly = PolyPath(tuple(_coeff_signal(c, t0, t1, dt) for c in cfg["coefficients"]),
                          label=cfg.get("label", "poly"))
-    th = cdt = None
-    if "classify" in cfg:
-        th = _build_thresholds(cfg["classify"]["thresholds"])
-        cdt = cfg["classify"].get("classify_dt")
-    report, rb = roots_report(path_poly, float(cfg.get("alpha_claim", 0.0)), th,
-                              float(cdt) if cdt else None)
+    sub = cfg.get("classify", {})
+    th = _build_thresholds(sub["thresholds"]) if sub else None
+    report, rb = roots_report(path_poly, th=th, **_given(cfg, alpha_claim=float),
+                              **_given(sub, classify_dt=float))
     return report, _branch_artifacts(rb, outdir)
 
 
@@ -437,8 +425,7 @@ def _run_zhikov(cfg, outdir):
 
     report, rb = zhikov_pipeline(_build_signal(cfg["signal"]), bool(cfg.get("with_decay", True)),
                                  _build_thresholds(cfg["thresholds"]),
-                                 dd_threshold=float(cfg.get("dd_threshold", 0.05)),
-                                 classify_dt=float(cfg.get("classify_dt", 0.02)))
+                                 **_given(cfg, dd_threshold=float, classify_dt=float))
     return report, _branch_artifacts(rb, outdir)
 
 
@@ -520,7 +507,6 @@ def run_config(path, output_root=None):
     """Execute one experiment config; returns (exit_code, manifest dict)."""
     cfg = load_config(path)
     seed = int(cfg.get("seed", 0))
-    np.random.seed(seed)  # legacy global, in case user expressions consult it
     root = output_root or os.environ.get("RECURLAB_OUT", ".")
     outdir = Path(root) / cfg.get("output_dir", Path(path).stem)
     outdir.mkdir(parents=True, exist_ok=True)

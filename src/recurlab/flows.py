@@ -300,7 +300,7 @@ def _integrate_family(ivp: IVP, x0s, offsets):
         raise StepSizeUnderflowError(sol.message)
     span = ivp.t_span.length
     dt = ivp.out_dt if ivp.out_dt is not None else min(ivp.max_step, span / 1e4)
-    n = int(np.floor(span / dt + 1e-9)) + 1
+    n = SampledSignal.grid_len(ivp.t_span.a, ivp.t_span.b, dt)
     ts = ivp.t_span.a + dt * np.arange(n)
     ts[-1] = min(ts[-1], ivp.t_span.b)
     vals = sol.sol(ts).reshape(k, d, n)

@@ -45,7 +45,7 @@ class TauSpec:
     refine: bool = True
 
     def candidates(self):
-        n = int(np.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
+        n = SampledSignal.grid_len(self.lo, self.hi, self.step)
         return self.lo + self.step * np.arange(n)
 
     def clipped(self, hi):
@@ -468,8 +468,7 @@ def omega_limit_sample(s: SampledSignal, shift_grid, window_len: float,
     return HullSample([members[i] for i in rep_idx], shifts[rep_idx], w)
 
 
-def equi_ap_test(hull: HullSample, eps: float, cands: TauSpec,
-                 gap_bound_factor: float = 3.0):
+def equi_ap_test(hull: HullSample, eps: float, cands: TauSpec):
     """Common translation set of all hull members on their window.
 
     tau is accepted iff every member satisfies sup |m(t+tau)-m(t)| < eps on
@@ -480,7 +479,7 @@ def equi_ap_test(hull: HullSample, eps: float, cands: TauSpec,
         raise ValueError("hull is empty")
     ts = _joint_set([_flat(m) for m in hull.members], hull.members[0].dt, hull.window.a,
                     hull.window.length, eps, cands)
-    return ts.relatively_dense(gap_bound_factor), ts
+    return ts.relatively_dense(), ts
 
 
 def minimality_test(hull: HullSample, eps: float, n_probes: int = 4,

@@ -155,8 +155,7 @@ class SampledSignal:
 
     def resample(self, new_dt, label=None):
         """Linear-interpolation resample onto a coarser/finer uniform grid."""
-        n_new = int(np.floor(self.span / new_dt + GRID_RTOL)) + 1
-        ts = self.t0 + new_dt * np.arange(n_new)
+        ts = self.t0 + new_dt * np.arange(SampledSignal.grid_len(0.0, self.span, new_dt))
         vals = self._blend((ts - self.t0) / self.dt)
         return SampledSignal(t0=self.t0, dt=new_dt, values=vals,
                              label=self.label if label is None else label)
@@ -363,7 +362,7 @@ def write_signal(s: SampledSignal, path):
     """
     if _is_npy(path):
         np.save(path, s.values, allow_pickle=False)
-        _write_sidecar(s, path, t0=float(s.t0), dt=float(s.dt))
+        _write_sidecar(s, path)
     else:
         write_signal_csv(s, path)
     return [path, _sidecar_path(path)]
@@ -398,8 +397,9 @@ def read_signal(path) -> SampledSignal:
                          label=descriptor.get("label", ""))
 
 
-def _write_sidecar(s, path, **grid):
-    descriptor = {"dim": s.dim, "complex": bool(s.is_complex()), "label": s.label, **grid}
+def _write_sidecar(s, path):
+    descriptor = {"dim": s.dim, "complex": bool(s.is_complex()), "label": s.label,
+                  "t0": float(s.t0), "dt": float(s.dt)}
     with open(_sidecar_path(path), "w") as fh:
         json.dump(descriptor, fh, indent=1)
         fh.write("\n")
@@ -410,8 +410,9 @@ def write_signal_csv(s: SampledSignal, path) -> None:
 
     Every value is formatted `%.17g` (round-trips a double exactly),
     separated by `,`, and every line, the header's too, ends in `\n`.
-    Complex components are stored as re,im column pairs; the sidecar
-    records {dim, complex, label} so the pairing is unambiguous on load.
+    Complex components are stored as re,im column pairs. The sidecar is
+    the one a `.npy` file gets, {dim, complex, label, t0, dt}: the pairing
+    is unambiguous on load and the grid reads back bit for bit.
     """
     if s.is_complex():
         header = ",".join(f"v{j}_re,v{j}_im" for j in range(s.dim))
@@ -424,7 +425,9 @@ def write_signal_csv(s: SampledSignal, path) -> None:
 
 
 def read_signal_csv(path) -> SampledSignal:
-    """Load a signal CSV, enforcing uniform spacing (jitter <= 1e-9 relative)."""
+    """Load a signal CSV on the grid its sidecar records, else on t0 = t[0]
+    and dt = (t[-1] - t[0]) / (n - 1); the `t` column must start at t0
+    and step by dt (jitter <= 1e-9 relative)."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     ts = data[:, 0]
     if len(ts) < 2:
@@ -432,18 +435,20 @@ def read_signal_csv(path) -> SampledSignal:
     diffs = np.diff(ts)
     if np.any(diffs <= 0):
         raise ValueError("signal CSV times must be strictly increasing")
-    dt = float(np.median(diffs))
-    if np.max(np.abs(diffs - dt)) > 1e-9 * max(1.0, abs(dt)):
-        raise ValueError("signal CSV grid spacing jitter exceeds 1e-9")
     try:
         with open(_sidecar_path(path)) as fh:
             descriptor = json.load(fh)
     except FileNotFoundError:
         descriptor = {"dim": data.shape[1] - 1, "complex": False, "label": ""}
+    t0 = float(descriptor.get("t0", ts[0]))
+    dt = float(descriptor.get("dt", (ts[-1] - ts[0]) / (len(ts) - 1)))
+    tol = 1e-9 * max(1.0, abs(dt))
+    if abs(ts[0] - t0) > tol or np.max(np.abs(diffs - dt)) > tol:
+        raise ValueError(f"signal CSV times stray from the grid t0 {t0}, dt {dt}: "
+                         "jitter exceeds 1e-9")
     if descriptor.get("complex", False):
         # re,im pairs reinterpreted in place: `re + 1j * im` would drop the sign of a zero
         vals = np.ascontiguousarray(data[:, 1:1 + 2 * descriptor["dim"]]).view(np.complex128)
     else:
         vals = data[:, 1:]
-    return SampledSignal(t0=float(ts[0]), dt=dt, values=vals,
-                         label=descriptor.get("label", ""))
+    return SampledSignal(t0=t0, dt=dt, values=vals, label=descriptor.get("label", ""))

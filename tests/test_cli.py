@@ -146,13 +146,13 @@ def small_classify_cfg(**thresholds):
     }
 
 
-def small_omega_cfg(tau):
+def small_omega_cfg(tau, **equi_ap):
     return {
         "schema": 1, "kind": "omega", "seed": 0, "output_dir": "out/o",
         "signal": {"forcing": "sin", "t0": 0.0, "t1": 300.0, "dt": 0.05},
         "shifts": {"start": 100.0, "step": 1.0, "n": 3},
         "window_len": 100.0, "cluster_tol": 0.05,
-        "equi_ap": {"eps": 0.1, "tau": tau},
+        "equi_ap": {"eps": 0.1, "tau": tau, **equi_ap},
     }
 
 
@@ -161,6 +161,12 @@ def small_omega_cfg(tau):
     (small_classify_cfg(tail_fraction=0.5), "tail_fraction"),
     (small_classify_cfg(tau={"hi": 40.0, "explicit": [6.28]}), "explicit"),
     (small_omega_cfg({"hi": 20.0, "explicit": [6.28]}), "explicit"),
+    # retired keys: the classifier constants are fixed
+    (small_classify_cfg(gap_bound_factor=3.0), "gap_bound_factor"),
+    (small_classify_cfg(stationary_taus=[0.5, 1.0]), "stationary_taus"),
+    (small_classify_cfg(range_bound=1e6), "range_bound"),
+    (small_classify_cfg(equicontinuity_bound=50.0), "equicontinuity_bound"),
+    (small_omega_cfg({"hi": 20.0}, gap_bound_factor=3.0), "gap_bound_factor"),
 ])
 def test_unknown_threshold_keys_exit_two_naming_the_key(cfg, key, tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
@@ -225,7 +231,7 @@ def test_misspelt_key_in_any_block_exits_two_from_validate_and_run(source, block
 
 
 #: (shipped config or builder, top-level key its kind does not read); dim,
-#: forcing_file and init_file are retired keys
+#: forcing_file, init_file, restrict and max_step are retired keys
 TOP_LEVEL_KEYS = [
     ("ode_condition_h", "tolerence"),
     ("ode_condition_h", "dim"),
@@ -233,6 +239,8 @@ TOP_LEVEL_KEYS = [
     (small_dde_cfg, "init_file"),
     ("map_corom1_periodic", "dim"),
     ("omega_heq1_forcing", "thresholds"),
+    ("classify_rap_sin_log", "restrict"),
+    ("ode_condition_h", "max_step"),
 ]
 
 
@@ -426,6 +434,27 @@ def test_roots_from_coefficient_files(suffix, tmp_path):
     assert reports["files"] == reports["sampled"]
 
 
+def test_classify_runs_the_same_from_a_csv_and_an_npy_signal(tmp_path):
+    # both formats read back on the writer's grid, so one signal gives one report
+    import numpy as np
+
+    from recurlab.signal import SampledSignal, write_signal
+
+    s = SampledSignal.from_function(lambda t: np.sin(t) + 0.5 * np.sin(np.sqrt(2) * t),
+                                    0.0, 300.0, 0.01)
+    reports = []
+    for suffix in (".npy", ".csv"):
+        name = f"s_{suffix[1:]}"
+        write_signal(s, tmp_path / f"{name}{suffix}")
+        cfg = {**small_classify_cfg(), "output_dir": f"out/{name}",
+               "signal": {"file": str(tmp_path / f"{name}{suffix}")}}
+        code, _ = run_config(write_cfg(tmp_path, cfg, name=f"{name}.yaml"), output_root=tmp_path)
+        assert code == 0
+        reports.append((tmp_path / "out" / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["window"] == [0.0, 300.0]
+
+
 def roots_with(coefficient, **grid):
     """A roots config whose a_2 is ``coefficient``, on [0, 100] in steps of 0.01 over ``grid``."""
     return {"schema": 1, "kind": "roots", "seed": 0, "output_dir": "out/r", "span": 100.0,
@@ -540,6 +569,28 @@ def test_readme_lists_each_kinds_top_level_keys():
         assert kind not in listed
         listed[kind] = sorted(re.findall(r"`(\w+)`", keys.split(";")[0]))
     assert listed == {kind: sorted(set(keys) - set(_COMMON)) for kind, keys in _CONFIG_KEYS.items()}
+
+
+def test_readme_lists_the_keys_of_thresholds_and_each_nested_block():
+    # the README's thresholds list and nested-block table must follow the
+    # schema, so a retired key cannot stay in them
+    import re
+
+    from recurlab.cli import _CONFIG_KEYS, _SIGNAL, _THRESHOLDS
+
+    text = (CONFIG_DIR.parent / "README.md").read_text()
+    bullets = text.split("A `thresholds` block")[1].split("\n\n")[1]
+    assert re.findall(r"^- `(\w+)`", bullets, flags=re.M) == list(_THRESHOLDS)
+    table = text.split("| block | kinds | keys |")[1].split("\n\n")[0]
+    listed = {}
+    for row in table.strip().splitlines()[1:]:
+        block, kinds, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        for kind in kinds.split(", "):
+            listed[kind, block.strip("`")] = sorted(re.findall(r"`(\w+)`", keys))
+    # signal specs and roots coefficients have their own paragraphs
+    assert listed == {(kind, name): sorted(sub) for kind, keys in _CONFIG_KEYS.items()
+                      for name, sub in keys.items()
+                      if isinstance(sub, dict) and sub is not _SIGNAL and sub is not _THRESHOLDS}
 
 
 #: x^7 - (0.5 + 0.125 sin t), seven separated branches

@@ -326,7 +326,7 @@ def test_signal_csv_round_trips_bit_for_bit(seed, cplx, d, n, grid):
         path = Path(tmp) / "sig.csv"
         write_signal_csv(s, path)
         back = read_signal_csv(path)
-    assert back.t0 == s.t0 and back.label == "edge"
+    assert back.t0 == s.t0 and back.dt == s.dt and back.label == "edge"
     assert back.values.dtype == s.values.dtype
     assert back.values.tobytes() == s.values.tobytes()  # bit for bit, zero signs included
 

@@ -151,7 +151,7 @@ def test_csv_roundtrip_complex(tmp_path):
     path = tmp_path / "c.csv"
     write_signal_csv(s, path)
     descriptor = json.loads((tmp_path / "c.json").read_text())
-    assert descriptor == {"dim": 1, "complex": True, "label": "spiral"}
+    assert descriptor == {"dim": 1, "complex": True, "label": "spiral", "t0": 0.0, "dt": 0.01}
     back = read_signal_csv(path)
     assert back.is_complex()
     assert np.allclose(back.values, s.values)
@@ -183,6 +183,40 @@ def test_read_signal_takes_a_csv_by_its_suffix(tmp_path):
     write_signal(s, tmp_path / "sig.csv")
     back = read_signal(tmp_path / "sig.csv")
     assert back.label == "csv" and np.array_equal(back.values, s.values)
+
+
+def test_csv_and_npy_of_one_signal_share_one_sidecar(tmp_path):
+    # a.csv and a.npy both write a.json: either write leaves the other readable,
+    # and both read back on the writer's grid, bit for bit
+    s = SampledSignal.from_function(lambda t: np.sin(t) + 0.5 * np.sin(np.sqrt(2) * t),
+                                    0.0, 300.0, 0.01, label="two_tone")
+    write_signal(s, tmp_path / "a.npy")
+    write_signal(s, tmp_path / "a.csv")
+    for name in ("a.npy", "a.csv"):
+        back = read_signal(tmp_path / name)
+        assert back.t0 == s.t0 and back.dt == s.dt and back.label == "two_tone"
+        assert back.times().tobytes() == s.times().tobytes()
+        assert back.values.tobytes() == s.values.tobytes()
+
+
+def test_csv_without_a_sidecar_reads_on_its_endpoint_grid(tmp_path):
+    path = tmp_path / "bare.csv"
+    t = 0.02 * np.arange(100001)
+    np.savetxt(path, np.column_stack([t, np.sin(t)]), delimiter=",", header="t,v0",
+               comments="", fmt="%.17g")
+    back = read_signal_csv(path)
+    # the median spacing of this column is 0.01999999999998181
+    assert back.t0 == 0.0 and back.dt == (t[-1] - t[0]) / (len(t) - 1) == 0.02
+    assert back.t_end == t[-1]
+
+
+@pytest.mark.parametrize("t0, dt", [(0.5, 0.01), (0.0, 0.02)], ids=["t0", "dt"])
+def test_csv_off_its_sidecar_grid_is_refused(t0, dt, tmp_path):
+    write_signal_csv(SampledSignal.from_function(np.sin, 0.0, 1.0, 0.01), tmp_path / "a.csv")
+    # the .npy of another grid rewrites the shared sidecar
+    write_signal(SampledSignal(t0=t0, dt=dt, values=np.zeros(101)), tmp_path / "a.npy")
+    with pytest.raises(ValueError, match="jitter"):
+        read_signal_csv(tmp_path / "a.csv")
 
 
 def test_npy_signal_without_its_sidecar_names_it(tmp_path):
