@@ -31,8 +31,10 @@ def sup_diff_capped(a, b, cap):
     """The exact sup, as :func:`sup_diff`; ``cap`` is not read.
 
     The cap is the caller's decision threshold (a result >= cap means "not
-    below cap"), but the result must stay exact past it: the global
-    translation set records it as the tail_sup of every rejected entry.
+    below cap"). No caller needs the value past the cap: the translation
+    scans first stop at a strided probe, then at the first array whose sup
+    reaches the cap (:func:`recurrence._joint_sup`). Outside tracers bind
+    the kernel by this name and signature.
     """
     return sup_diff(a, b)
 

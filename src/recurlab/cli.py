@@ -37,7 +37,8 @@ KINDS = ("classify", "omega", "ode", "dde", "map", "roots", "zhikov")
 def load_config(path):
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            # libyaml's parser when PyYAML has it: the same dicts, 4-8x faster
+            cfg = yaml.load(fh, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}", key="path")
     except yaml.YAMLError as exc:

@@ -416,8 +416,8 @@ class HullRun:
 
 
 def hull_solutions(rhs: RhsSpec, shifts, x0_set, horizon: float,
-                   rel_tol: float = 1e-8, abs_tol: float = 1e-10,
-                   max_step: float = np.inf, out_dt: float = None):
+                   rel_tol: float = IVP.rel_tol, abs_tol: float = IVP.abs_tol,
+                   out_dt: float = None):
     """Integrate y' = f^h(t, y) on [0, horizon] for every (shift h, initial state).
 
     All pairs are one stacked solve (:func:`_integrate_family`): the
@@ -434,7 +434,7 @@ def hull_solutions(rhs: RhsSpec, shifts, x0_set, horizon: float,
     pairs = [(h, x0) for h in shifts for x0 in x0s]
     if not pairs:
         return []
-    ivp = IVP(rhs, x0s[0], Window(0.0, horizon), rel_tol, abs_tol, max_step, out_dt)
+    ivp = IVP(rhs, x0s[0], Window(0.0, horizon), rel_tol, abs_tol, out_dt=out_dt)
     sols = _integrate_family(ivp, [x0 for _, x0 in pairs], [h for h, _ in pairs])
     return [HullRun(h, x0, sol) for (h, x0), sol in zip(pairs, sols)]
 
@@ -478,7 +478,7 @@ def fiber_count(runs, burn_in: float, cluster_tol: float) -> FiberReport:
 
 def uniform_stability_probe(rhs: RhsSpec, ref: SampledSignal, delta_grid, eps_grid,
                             restart_times, horizon: float,
-                            rel_tol: float = 1e-8, abs_tol: float = 1e-10,
+                            rel_tol: float = IVP.rel_tol, abs_tol: float = IVP.abs_tol,
                             h_params: ConditionHParams = None):
     """Empirical delta(eps) stability table and L(eps) attraction table.
 

@@ -52,13 +52,18 @@ class TauSpec:
         return TauSpec(self.lo, min(self.hi, hi), self.step, self.refine)
 
 
+#: a translation set is relatively dense when its largest gap is at most this
+#: many times its mean accepted spacing (:meth:`TranslationSet.relatively_dense`)
+GAP_BOUND_FACTOR = 3.0
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Knobs shared by the classifier stack; epsilon_grid sorted ascending."""
 
     epsilon_grid: tuple
     tau_candidates: TauSpec
-    gap_bound_factor: float = 3.0
+    gap_bound_factor: float = GAP_BOUND_FACTOR
     stationary_taus: tuple = tuple(np.round(np.arange(0.5, 5.01, 0.5), 10))
     range_bound: float = 1e6
     equicontinuity_bound: float = 50.0
@@ -139,7 +144,7 @@ class TranslationSet:
         gaps.extend(np.diff(reps))
         return float(max(gaps))
 
-    def relatively_dense(self, gap_bound_factor=3.0):
+    def relatively_dense(self, gap_bound_factor=GAP_BOUND_FACTOR):
         """Finite-horizon relative-density certificate.
 
         max_gap must not exceed gap_bound_factor times the typical accepted
@@ -181,39 +186,52 @@ def _candidates(cands: TauSpec, span: float, error):
     return taus
 
 
-def _scan(taus, cands: TauSpec, eps: float, value, entry, refine_value=None) -> TranslationSet:
+def _scan(taus, cands: TauSpec, eps: float, value, entry) -> TranslationSet:
     """The scan-and-refine loop behind every translation set.
 
-    ``value(tau)`` is the candidate's eps-free sup, which passes iff < eps;
-    every candidate gets it exactly. ``entry(tau, v, refined)`` builds its
-    TranslationEntry. With ``cands.refine`` a near miss, eps <= v < 2 eps,
-    is refined by :func:`_local_refine` on ``refine_value`` (``value`` when
-    None), which may return a smaller value instead of a sup that reaches
-    the 2.2 eps cap, as long as it reaches the cap too: such a point is
-    never the refine argmin, because every refine grid holds its centre
-    (to within rounding), whose value is below 2 eps. The refined tau is
-    kept when it passes and is positive.
+    ``value(tau, bar)`` is the candidate's eps-free sup, which passes iff
+    < eps. It may return a smaller value instead of a sup that reaches
+    ``bar`` or its own cap past the near-miss band (2.2 eps for joint
+    sets), as long as that value reaches them too: so every accept and
+    refine decision reads the exact sup. Grid candidates pass bar = inf.
+    ``entry(tau, v, refined)`` builds its TranslationEntry. With
+    ``cands.refine`` a near miss, eps <= v < 2 eps, is refined by
+    :func:`_local_refine`; the refined tau is kept when it passes and is
+    positive.
     """
     entries = []
     for tau in taus:
-        v = value(tau)
+        v = value(tau, np.inf)
         entries.append(entry(tau, v, False))
         if cands.refine and eps <= v < 2 * eps:
-            t_best, v_best = _local_refine(refine_value or value, tau, cands.step, eps)
+            t_best, v_best = _local_refine(value, tau, cands.step, eps)
             if v_best < eps and t_best > 0:
                 entries.append(entry(t_best, v_best, True))
     return TranslationSet(eps, entries, Window(0.0, float(np.max(taus))), cands.step)
 
 
 def _local_refine(objective, tau0, step, eps, stages=3, pts=13):
-    """Deterministic shrinking-grid minimization around a near-miss tau."""
+    """Deterministic shrinking-grid minimization around a near-miss tau.
+
+    ``objective(tau, bar)`` gets as bar the least value its stage has
+    returned so far (inf for the stage's first point), and may stop at it:
+    a value at or above the running minimum can neither be the stage's
+    first argmin nor displace it. The next stage centres on that argmin,
+    so the bar restarts at inf with every stage. Each stage's argmin and
+    its value are those of the exact objective while they stay below the
+    objective's own cap, which holds because every grid holds its centre
+    (to within rounding), whose value is below 2 eps.
+    """
     center = tau0
     half = step / 2
     best_t, best_v = tau0, np.inf
     for _ in range(stages):
         grid = center + np.linspace(-half, half, pts)
         grid = grid[grid > 0]
-        vals = [objective(x) for x in grid]
+        vals, bar = [], np.inf
+        for x in grid:
+            vals.append(objective(x, bar))
+            bar = min(bar, vals[-1])
         i = int(np.argmin(vals))
         if vals[i] < best_v:
             best_v, best_t = vals[i], grid[i]
@@ -224,7 +242,7 @@ def _local_refine(objective, tau0, step, eps, stages=3, pts=13):
     return best_t, best_v
 
 
-#: grid stride of the probe that refinement takes before an exact joint sup
+#: grid stride of the probe that every joint sup takes before its exact sup
 _PROBE_STRIDE = 64
 
 
@@ -238,19 +256,19 @@ def _strided_shift(v, dt, tau, stride):
     return (1.0 - fr) * v[k:k + m:stride] + fr * v[k + 1:k + 1 + m:stride]
 
 
-def _joint_sup(flats, dt, tau, cap, probe=False):
+def _joint_sup(flats, dt, tau, cap):
     """Worst sup |v(t+tau) - v(t)| over the flat arrays ``flats``, where
-    v(t+tau) is sampled (inf when fewer than two such points exist). It
-    stops at the first array that reaches ``cap`` and returns that array's
-    sup. With ``probe`` it first compares every _PROBE_STRIDE-th shifted
+    v(t+tau) is sampled (inf when fewer than two such points exist), exact
+    when below ``cap``. It first compares every _PROBE_STRIDE-th shifted
     sample of every array and returns the probe's max as soon as that
-    reaches ``cap``: a value >= cap, not the sup."""
-    if probe:
-        for v in flats:
-            sh = _strided_shift(v, dt, tau, _PROBE_STRIDE)
-            val = _kernels.sup_diff(sh, v[:len(sh) * _PROBE_STRIDE:_PROBE_STRIDE])
-            if val >= cap:
-                return val
+    reaches ``cap``; then it stops at the first array whose sup reaches
+    ``cap`` and returns that sup. A result >= cap is attained at some grid
+    point of some array and is at most the worst sup."""
+    for v in flats:
+        sh = _strided_shift(v, dt, tau, _PROBE_STRIDE)
+        val = _kernels.sup_diff(sh, v[:len(sh) * _PROBE_STRIDE:_PROBE_STRIDE])
+        if val >= cap:
+            return val
     worst = 0.0
     for v in flats:
         sh = shift_values(v, dt, tau)
@@ -268,14 +286,13 @@ def _joint_set(flats, dt, t0, span, eps, cands: TauSpec) -> TranslationSet:
     """Common Bohr translation set of the flat sample arrays ``flats``.
 
     tau is accepted iff every array v has sup |v(t+tau) - v(t)| < eps where
-    v(t+tau) is sampled; the entry records L = t0 and a tail_sup. The cap
-    2.2 eps lies past the near-miss band, so a candidate stops at the
-    first array that reaches it (:func:`_joint_sup`); refinement points
-    take its strided probe first. So tail_sup is the exact worst sup when
-    that is below 2.2 eps, and otherwise the sup of the first array to
-    reach the cap: a value in [2.2 eps, worst sup]. With one array (the
-    global set) it is always the exact sup. ``span`` is the arrays' length
-    in time.
+    v(t+tau) is sampled; the entry records L = t0 and a tail_sup. Every
+    candidate and refinement point takes :func:`_joint_sup` with cap
+    min(2.2 eps, bar), where bar is refinement's running minimum (inf on
+    the grid): 2.2 eps lies past the near-miss band. So tail_sup is the
+    exact worst sup when that is below 2.2 eps, and otherwise the value
+    that stopped the scan: a value in [2.2 eps, worst sup], attained at
+    some grid point. ``span`` is the arrays' length in time.
     """
     taus = _candidates(cands, span, WindowTooShortError)
     cap = 2.2 * eps
@@ -283,8 +300,8 @@ def _joint_set(flats, dt, t0, span, eps, cands: TauSpec) -> TranslationSet:
     def entry(tau, v, refined):
         return TranslationEntry(float(tau), v < eps, t0, float(v), refined)
 
-    return _scan(taus, cands, eps, lambda tau: _joint_sup(flats, dt, tau, cap), entry,
-                 lambda tau: _joint_sup(flats, dt, tau, cap, probe=True))
+    return _scan(taus, cands, eps, lambda tau, bar: _joint_sup(flats, dt, tau, min(cap, bar)),
+                 entry)
 
 
 def translation_set_global(s: SampledSignal, eps: float, cands: TauSpec) -> TranslationSet:
@@ -292,7 +309,8 @@ def translation_set_global(s: SampledSignal, eps: float, cands: TauSpec) -> Tran
 
     The sup runs over the domain of s shrunk so both signals are defined,
     and the recorded L is the domain start: the one-member case of
-    :func:`_joint_set`.
+    :func:`_joint_set`. An entry's tail_sup is the exact sup below 2.2 eps;
+    past it, the attained value in [2.2 eps, sup] that stopped the scan.
     """
     w = s.domain
     return _joint_set([_flat(s)], s.dt, w.a, w.length, eps, cands)
@@ -339,11 +357,12 @@ def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> Tran
 
     A candidate's sup is the one over its latest admissible tail, at least
     one candidate step and MIN_TAIL_SPAN_FRACTION of the horizon long; near
-    misses are refined on it. An accepted tau records the least grid L with
-    tail sup < eps and that tail's sup, two reads of its difference d
-    (formed for accepted taus only): L is one grid step past the last
-    d >= eps, and the sup is the max of d from there. A rejected one
-    records the latest tail start and sup.
+    misses are refined on it. That sup is exact: it ignores refinement's
+    bar. An accepted tau records the least grid L with tail sup < eps and
+    that tail's sup, two reads of its difference d (formed for accepted
+    taus only): L is one grid step past the last d >= eps, and the sup is
+    the max of d from there. A rejected one records the latest tail start
+    and sup.
     """
     taus = _candidates(cands, s.span, DomainTooShortError)
     base = _flat(s)
@@ -359,7 +378,8 @@ def translation_set_remote(s: SampledSignal, eps: float, cands: TauSpec) -> Tran
         return TranslationEntry(float(tau), True, float(s.t0 + idx * s.dt),
                                 float(np.max(d[idx:])), refined)
 
-    return _scan(taus, cands, eps, lambda tau: _late_sup(base, s.dt, tau, tail_steps), entry)
+    return _scan(taus, cands, eps, lambda tau, bar: _late_sup(base, s.dt, tau, tail_steps),
+                 entry)
 
 
 def _least_tails(s: SampledSignal, tau: float, eps_grid, min_tail: float):

@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from recurlab import _kernels
 from recurlab.cli import load_config
@@ -54,3 +55,14 @@ def test_generated_workload_configs_load(workload, tmp_path):
     for case in cases:
         cfg = load_config(case.path)
         assert cfg["kind"]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("workload", sorted(workloads.SIZES["tiny"]))
+def test_generated_workload_configs_load_to_the_same_dict_under_both_yaml_loaders(workload,
+                                                                                 tmp_path):
+    for case in workloads.generate(workload, 1, tmp_path, size="tiny"):
+        text = Path(case.path).read_text()
+        want = yaml.load(text, yaml.SafeLoader)
+        assert yaml.load(text, yaml.CSafeLoader) == want
+        assert load_config(case.path) == want

@@ -137,6 +137,24 @@ def test_shipped_configs_validate():
     assert n_blocks
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_config_loads_to_the_same_dict_under_both_yaml_loaders(path):
+    text = path.read_text()
+    want = yaml.load(text, yaml.SafeLoader)
+    assert yaml.load(text, yaml.CSafeLoader) == want
+    assert load_config(path) == want
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_malformed_yaml_exits_two(command, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("schema: 1\nkind: [classify\n")
+    argv = [command, str(path)] + (["--output-root", str(tmp_path)] if command == "run" else [])
+    assert main(argv) == 2
+    assert "config does not parse" in capsys.readouterr().err
+
+
 def small_classify_cfg(**thresholds):
     return {
         "schema": 1, "kind": "classify", "seed": 0, "output_dir": "out/c",

@@ -3,7 +3,7 @@
 Each reference below is the earlier, straightforward implementation, kept
 here so that the shortcut can be checked bit for bit: the least tail start
 from a reversed cumulative max, the alignment search that sorts every
-bound, and refinement on exact sups only.
+bound, and scans and refinement on exact sups only.
 """
 
 import contextlib
@@ -129,12 +129,13 @@ def test_strided_probe_samples_equal_the_full_shift(seed, k, where, stride):
 
 
 # ---------------------------------------------------------------------------
-# refinement that stops at the cap against refinement on exact sups
+# scans that stop at their bar against scans on exact sups
 # ---------------------------------------------------------------------------
 
 def reference_joint_sup(flats, dt, cap):
-    """The joint sup as every candidate and refinement point got it before."""
-    def joint_sup(tau):
+    """The joint sup as every candidate got it before: exact until an array
+    reaches ``cap``, and blind to refinement's bar."""
+    def joint_sup(tau, bar=np.inf):
         worst = 0.0
         for v in flats:
             sh = shift_values(v, dt, tau)
@@ -149,17 +150,34 @@ def reference_joint_sup(flats, dt, cap):
     return joint_sup
 
 
-def reference_joint_set(flats, dt, t0, span, eps, cands):
+def reference_joint_set(flats, dt, t0, span, eps, cands, value=None):
     def entry(tau, v, refined):
         return TranslationEntry(float(tau), v < eps, t0, float(v), refined)
 
     taus = _candidates(cands, span, ValueError)
-    return _scan(taus, cands, eps, reference_joint_sup(flats, dt, 2.2 * eps), entry)
+    return _scan(taus, cands, eps, value or reference_joint_sup(flats, dt, 2.2 * eps), entry)
 
 
 def _entries(ts):
     return [(_bits(e.tau), e.accepted, _bits(e.L), _bits(e.tail_sup), e.refined)
             for e in ts.entries]
+
+
+def assert_same_entries(got, want, flats, dt, eps):
+    """Every entry of ``got`` equals that of ``want`` (on exact sups) bit for
+    bit, except a tail_sup where the worst direct sup reaches 2.2 eps: there
+    it lies in [2.2 eps, that sup] and is |d| at some grid point."""
+    assert len(got.entries) == len(want.entries)
+    for g, w in zip(got.entries, want.entries):
+        assert (_bits(g.tau), g.accepted, _bits(g.L), g.refined) == \
+            (_bits(w.tau), w.accepted, _bits(w.L), w.refined)
+        if w.tail_sup < 2.2 * eps:
+            assert _bits(g.tail_sup) == _bits(w.tail_sup)
+            continue
+        shifted = [shift_values(v, dt, g.tau) for v in flats]
+        ds = [np.abs(sh - v[:len(sh)]) for sh, v in zip(shifted, flats)]
+        assert 2.2 * eps <= g.tail_sup <= max(float(np.max(d)) for d in ds)
+        assert any(np.any(d == g.tail_sup) for d in ds)
 
 
 def _signal(seed, t1=200.0, dt=0.05):
@@ -176,15 +194,16 @@ def _signal(seed, t1=200.0, dt=0.05):
 def test_global_and_joint_sets_equal_refinement_on_exact_sups(seed, eps, step):
     s = _signal(seed)
     cands = TauSpec(lo=step * 0.97, hi=50.0, step=step, refine=True)
-    want = reference_joint_set([s.values[:, 0]], s.dt, s.t0, s.span, eps, cands)
-    assert _entries(translation_set_global(s, eps, cands)) == _entries(want)
+    flats = [s.values[:, 0]]
+    want = reference_joint_set(flats, s.dt, s.t0, s.span, eps, cands)
+    assert_same_entries(translation_set_global(s, eps, cands), want, flats, s.dt, eps)
 
     other = _signal(seed + 1)
     members = [s, SampledSignal(s.t0, s.dt, other.values[:len(s)])]
     hull = HullSample(members, np.zeros(2), s.domain)
-    want = reference_joint_set([m.values[:, 0] for m in members], s.dt, hull.window.a,
-                               hull.window.length, eps, cands)
-    assert _entries(equi_ap_test(hull, eps, cands)[1]) == _entries(want)
+    flats = [m.values[:, 0] for m in members]
+    want = reference_joint_set(flats, s.dt, hull.window.a, hull.window.length, eps, cands)
+    assert_same_entries(equi_ap_test(hull, eps, cands)[1], want, flats, s.dt, eps)
 
 
 @given(st.integers(0, 10_000), st.floats(min_value=0.5, max_value=30.0),
@@ -198,35 +217,53 @@ def test_local_refine_on_the_capped_objective_equals_the_exact_one(seed, tau0, r
     cap = 2.2 * eps
     exact = reference_joint_sup(flats, s.dt, cap)
     for step in (0.3, 1.0, np.pi / 2):
-        got = _local_refine(lambda tau: _joint_sup(flats, s.dt, tau, cap, probe=True),
+        got = _local_refine(lambda tau, bar: _joint_sup(flats, s.dt, tau, min(cap, bar)),
                             tau0, step, eps)
         want = _local_refine(exact, tau0, step, eps)
         assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+
+@contextlib.contextmanager
+def counted_exact_sups(calls):
+    """Count the calls of the exact-sup kernel."""
+    orig = _kernels.sup_diff_capped
+    _kernels.sup_diff_capped = lambda a, b, cap: calls.append(1) or orig(a, b, cap)
+    try:
+        yield
+    finally:
+        _kernels.sup_diff_capped = orig
 
 
 def test_refinement_probe_spares_exact_sups_and_keeps_every_entry():
     s = SampledSignal.from_function(np.sin, 0.0, 400.0, 0.05)
     cands = TauSpec(lo=1.0, hi=100.0, step=1.0)
     n_exact = []
-    orig = _kernels.sup_diff_capped
-    _kernels.sup_diff_capped = lambda a, b, cap: n_exact.append(1) or orig(a, b, cap)
-    try:
+    with counted_exact_sups(n_exact):
         ts = translation_set_global(s, 0.1, cands)
-    finally:
-        _kernels.sup_diff_capped = orig
-    ref_sup = reference_joint_sup([s.values[:, 0]], s.dt, 0.22)
+    flats = [s.values[:, 0]]
+    ref_sup = reference_joint_sup(flats, s.dt, 0.22)
     n_ref = []
 
-    def counted(tau):
+    def counted(tau, bar):
         n_ref.append(1)
         return ref_sup(tau)
 
-    want = _scan(_candidates(cands, s.span, ValueError), cands, 0.1, counted,
-                 lambda tau, v, refined: TranslationEntry(float(tau), v < 0.1, s.t0, float(v),
-                                                          refined))
-    assert _entries(ts) == _entries(want)
+    want = reference_joint_set(flats, s.dt, s.t0, s.span, 0.1, cands, counted)
+    assert_same_entries(ts, want, flats, s.dt, 0.1)
     assert any(e.refined for e in ts.entries)
     assert len(n_exact) < len(n_ref)
+
+
+def test_global_scan_takes_fewer_exact_sups_than_it_has_candidates():
+    # a drifting sine: few candidates come near a translation, and the
+    # strided probe rules out most of the rest before any exact sup
+    s = SampledSignal.from_function(lambda t: np.sin(t + np.log1p(t)), 100.0, 500.0, 0.05)
+    cands = TauSpec(lo=1.0, hi=100.0, step=1.0)
+    n_exact = []
+    with counted_exact_sups(n_exact):
+        ts = translation_set_global(s, 0.1, cands)
+    assert len(n_exact) < len(cands.candidates())
+    assert any(e.accepted for e in ts.entries)
 
 
 # ---------------------------------------------------------------------------
