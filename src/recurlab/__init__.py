@@ -13,8 +13,6 @@ from .signal import (
     Window,
     translate,
     sup_distance,
-    tail_sup_distance,
-    d_infinity_estimate,
     read_signal,
     read_signal_csv,
     write_signal,
@@ -33,7 +31,6 @@ from .recurrence import (
     omega_limit_sample,
     equi_ap_test,
     minimality_test,
-    aap_test,
     classify,
 )
 
@@ -44,8 +41,6 @@ __all__ = [
     "Window",
     "translate",
     "sup_distance",
-    "tail_sup_distance",
-    "d_infinity_estimate",
     "read_signal",
     "read_signal_csv",
     "write_signal",
@@ -62,7 +57,6 @@ __all__ = [
     "omega_limit_sample",
     "equi_ap_test",
     "minimality_test",
-    "aap_test",
     "classify",
     "backend_name",
     "__version__",

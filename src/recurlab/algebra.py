@@ -77,45 +77,28 @@ class PolyPath:
         m.flags.writeable = False
         return m
 
-    def coef_at(self, t):
-        return np.array([c.value_at(t)[0] for c in self.coeffs], dtype=np.complex128)
 
-    @staticmethod
-    def from_functions(fns, t0, t1, dt, label=""):
-        sigs = tuple(
-            SampledSignal.from_function(lambda ts, f=f: np.asarray(f(ts), dtype=complex),
-                                        t0, t1, dt, label=f"a{k+1}")
-            for k, f in enumerate(fns)
-        )
-        return PolyPath(sigs, label=label)
+def roots_grid(p: PolyPath):
+    """All roots along the grid, (N, n) complex; order per point is arbitrary.
 
-
-def _gated_roots(coefs, where=""):
-    """Roots of every coefficient row, refused unless each passes the residual gate."""
+    The roots of every grid point are refused unless each passes the
+    residual gate |P(t, root)| <= RESIDUAL_RTOL * (1 + A(t))^n.
+    """
+    coefs = p.coef_matrix()
     try:
         roots = _kernels.aberth_grid(coefs)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"root solve failed{where}: {exc}") from exc
+        raise NonConvergenceError(f"root solve failed: {exc}") from exc
     res = np.abs(_kernels.horner(coefs, roots)[0])
     with np.errstate(over="ignore"):  # a scale past the float range refuses no finite residual
         scale = RESIDUAL_RTOL * (1.0 + np.max(np.abs(coefs), axis=1)) ** coefs.shape[1]
     worst = float(np.max(res / scale[:, None]))
     if not worst <= 1.0:
         raise NonConvergenceError(
-            f"roots above residual tolerance{where} (worst ratio {worst:.3g})",
+            f"roots above residual tolerance (worst ratio {worst:.3g})",
             worst_residual=float(np.max(res)),
         )
     return roots
-
-
-def roots_grid(p: PolyPath):
-    """All roots along the grid, (N, n) complex; order per point is arbitrary."""
-    return _gated_roots(p.coef_matrix())
-
-
-def roots_at(p: PolyPath, t) -> np.ndarray:
-    """The n roots (with multiplicity) of the time-t polynomial."""
-    return _gated_roots(p.coef_at(t)[None, :], f" at t={t}")[0]
 
 
 def discriminant_from_roots(roots):
@@ -157,10 +140,6 @@ class RootBranches:
     @property
     def degree(self):
         return len(self.branches)
-
-    @property
-    def separation_min(self):
-        return float(np.min(self.separation))
 
     def branch_matrix(self):
         return np.column_stack([b.values[:, 0] for b in self.branches])

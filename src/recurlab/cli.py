@@ -446,6 +446,8 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def _lookup(report, dotted):
+    """The report value at a dotted path; KeyError for a missing key, or a
+    list index that is not an integer or is out of range."""
     # dict keys may themselves contain dots (epsilon values like "0.05"),
     # so dict descent greedily tries the longest joined key first
     parts = dotted.split(".")
@@ -453,7 +455,11 @@ def _lookup(report, dotted):
     i = 0
     while i < len(parts):
         if isinstance(cur, list):
-            cur = cur[int(parts[i])]
+            try:
+                cur = cur[int(parts[i])]
+            except (ValueError, IndexError):
+                raise KeyError(f"assertion path {dotted!r}: no list index {parts[i]!r} "
+                               f"in a list of {len(cur)}") from None
             i += 1
         elif isinstance(cur, dict):
             for j in range(len(parts), i, -1):
@@ -491,7 +497,13 @@ def check_assertions(report, assertions):
         }.get(op)
         if ok is None:
             failures.append({"assertion": a, "error": f"unknown op {op!r}"})
-        elif not ok():
+            continue
+        try:
+            passed = ok()
+        except TypeError as exc:
+            failures.append({"assertion": a, "got": got, "error": f"op {op!r}: {exc}"})
+            continue
+        if not passed:
             failures.append({"assertion": a, "got": got})
     return failures
 

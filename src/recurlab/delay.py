@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, LagOutOfRangeError, NonFiniteValueError, SampleBeforeDelayError
+from .errors import ConfigError, LagOutOfRangeError, NonFiniteValueError
 from .signal import SampledSignal
 
 
@@ -34,18 +34,10 @@ class HistorySegment:
         return self.samples.dim
 
     @staticmethod
-    def constant(r, value, dt=None):
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        dt = dt or r / 100
-        n = int(round(r / dt)) + 1
-        vals = np.tile(value, (n, 1))
-        return HistorySegment(r, SampledSignal(t0=-r, dt=r / (n - 1), values=vals))
-
-    @staticmethod
-    def from_function(r, fn, dt=None):
-        dt = dt or r / 100
-        sig = SampledSignal.from_function(fn, -r, 0.0, dt)
-        return HistorySegment(r, sig)
+    def constant(r, value):
+        """The history u = value on [-r, 0], sampled at 101 points."""
+        vals = np.tile(np.atleast_1d(np.asarray(value, dtype=float)), (101, 1))
+        return HistorySegment(r, SampledSignal(t0=-r, dt=r / 100, values=vals))
 
 
 @dataclass(frozen=True)
@@ -201,11 +193,10 @@ def integrate_dde(rhs: DelayRhsSpec, init: HistorySegment, horizon: float,
     return SampledSignal(t0=0.0, dt=h, values=u[N:], label="dde")
 
 
-def precompactness_proxy(u: SampledSignal, range_cap: float = 1e6,
-                         growth_factor: float = 2.0):
+def precompactness_proxy(u: SampledSignal):
     """Boundedness + equicontinuity certificate behind segment precompactness.
 
-    Verdict is heuristic: the range must stay under range_cap AND show no
+    Verdict is heuristic: the range must stay under 1e6 AND show no
     doubling between the first and second half of the horizon, and the
     difference-quotient bound must be finite. Always returns a verdict with
     the numeric evidence.
@@ -215,25 +206,7 @@ def precompactness_proxy(u: SampledSignal, range_cap: float = 1e6,
     m1 = float(np.max(mags[:half])) if half else 0.0
     m2 = float(np.max(mags[half:]))
     deriv = float(np.max(np.abs(np.diff(u.values, axis=0))) / u.dt) if len(u) > 1 else 0.0
-    growing = m2 > growth_factor * max(m1, 1e-12) and m2 > 1e-6
-    ok = (m2 <= range_cap) and (not growing) and np.isfinite(deriv)
+    growing = m2 > 2.0 * max(m1, 1e-12) and m2 > 1e-6
+    ok = (m2 <= 1e6) and (not growing) and np.isfinite(deriv)
     return ok, {"range_bound": max(m1, m2), "derivative_bound": deriv,
                 "growth_ratio": m2 / max(m1, 1e-12)}
-
-
-def segment_trajectory(u: SampledSignal, r: float, sample_times):
-    """The segment-space trajectory t -> u_t, each rebased to [-r, 0].
-
-    Segments are sampled by interpolation at a common theta grid so that
-    segments taken at different absolute times stay phase-aligned.
-    """
-    n_theta = max(2, int(round(r / u.dt)))
-    thetas = np.linspace(-r, 0.0, n_theta + 1)
-    out = []
-    for t in sample_times:
-        if t < u.t0 + r - 1e-9:
-            raise SampleBeforeDelayError(f"sample time {t} precedes t0 + r")
-        vals = np.array([u.value_at(t + th) for th in thetas])
-        seg = SampledSignal(t0=-r, dt=r / n_theta, values=vals, label=u.label)
-        out.append(HistorySegment(r, seg))
-    return out

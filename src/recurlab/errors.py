@@ -17,20 +17,12 @@ class WindowOutOfDomainError(RecurlabError):
     """A window reaches outside a signal's domain."""
 
 
-class GridMismatchError(RecurlabError):
-    """Signals do not share a compatible sampling grid."""
-
-
 class WindowTooShortError(RecurlabError):
     """Scan window too short for the requested candidate translations."""
 
 
 class DomainTooShortError(RecurlabError):
     """Signal domain too short for the requested tail scan."""
-
-
-class HullNotAPError(RecurlabError):
-    """A hull member failed its almost-periodicity test."""
 
 
 class StepSizeUnderflowError(RecurlabError):
@@ -47,10 +39,6 @@ class BadOrderError(RecurlabError):
 
 class LagOutOfRangeError(RecurlabError):
     """A delay lag falls outside [-r, 0]."""
-
-
-class SampleBeforeDelayError(RecurlabError):
-    """Segment sample time precedes one full delay span."""
 
 
 class NonFiniteValueError(RecurlabError):

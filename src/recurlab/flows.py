@@ -1,6 +1,6 @@
 """ODE cocycle engine: integrate over the hull of a right-hand side and
-check dissipative contraction, separation, stability and omega-limit
-fiber structure.
+check dissipative contraction, stability and omega-limit fiber
+structure.
 
 Every solve is :func:`solve_ivp`, an in-house Dormand-Prince 5(4) pair
 with Shampine's quartic dense output. It repeats the arithmetic of
@@ -27,7 +27,6 @@ import numpy as np
 from . import catalog as _catalog
 from .errors import (
     BadOrderError,
-    GridMismatchError,
     NonFiniteRhsError,
     StepSizeUnderflowError,
 )
@@ -63,8 +62,7 @@ class IVP:
     t_span: Window
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = np.inf
-    out_dt: float = None    # output grid step; defaults to min(max_step, span/1e4)
+    out_dt: float = None    # output grid step; defaults to span/1e4
 
     def __post_init__(self):
         if not (0 < self.rel_tol <= 1e-2 and 0 < self.abs_tol <= 1e-2):
@@ -166,7 +164,7 @@ class RK45Solution:
         return out
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, max_step=np.inf) -> RK45Solution:
+def solve_ivp(fun, t_span, y0, rtol, atol) -> RK45Solution:
     """Integrate y' = fun(t, y), y(t0) = y0 forward over t_span = (t0, t1)
     by RK45 with dense output: the Dormand-Prince 5(4) pair, local
     extrapolation, RMS error norm on atol + max(|y|, |y_new|) rtol.
@@ -174,8 +172,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=np.inf) -> RK45Solution:
     The arithmetic is scipy 1.17.1's ``solve_ivp(method="RK45",
     dense_output=True)`` operation for operation: the same starting step
     (the d0/d1/d2 rule), the same stage sums, the same step clipping and
-    controller, and rtol raised to 100 eps with a warning. So the steps,
-    ``nfev`` and the dense values are scipy's, bit for bit. ``fun`` takes
+    controller with no upper bound on the step, and rtol raised to 100 eps
+    with a warning. So the steps, ``nfev`` and the dense values are
+    scipy's, bit for bit. ``fun`` takes
     a float t and a float state of shape (n,) and returns shape (n,);
     exceptions it raises propagate.
     """
@@ -185,8 +184,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=np.inf) -> RK45Solution:
         raise ValueError("y0 must be a finite 1-D state")
     if not t_bound > t:
         raise ValueError("t_span must run forward")
-    if max_step <= 0:
-        raise ValueError("max_step must be positive")
     if rtol < 100 * _EPS:
         warnings.warn(f"rtol is too small; using rtol = {100 * _EPS}", stacklevel=2)
         rtol = 100 * _EPS
@@ -210,13 +207,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=np.inf) -> RK45Solution:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, span, max_step)
+    h_abs = min(100 * h0, h1, span)
 
     ts, steps = [t], []
     k = np.empty((7, len(y)))
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -251,7 +248,7 @@ def integrate(ivp: IVP) -> SampledSignal:
     """Adaptive 5(4) Runge-Kutta (:func:`solve_ivp`) with dense output,
     resampled uniformly.
 
-    The output grid step is min(max_step, span/1e4); the integrator is
+    The output grid step is ``ivp.out_dt``, else span/1e4; the integrator is
     deterministic for fixed inputs and agrees with scipy 1.17.1's RK45
     bit for bit. Blow-up surfaces as StepSizeUnderflowError, a non-finite
     field as NonFiniteRhsError. This is the one-member case of
@@ -294,12 +291,11 @@ def _integrate_family(ivp: IVP, x0s, offsets):
         x0s.reshape(-1),
         rtol=ivp.rel_tol / np.sqrt(k),
         atol=ivp.abs_tol / np.sqrt(k),
-        max_step=ivp.max_step,
     )
     if sol.status == -1:
         raise StepSizeUnderflowError(sol.message)
     span = ivp.t_span.length
-    dt = ivp.out_dt if ivp.out_dt is not None else min(ivp.max_step, span / 1e4)
+    dt = ivp.out_dt if ivp.out_dt is not None else span / 1e4
     n = SampledSignal.grid_len(ivp.t_span.a, ivp.t_span.b, dt)
     ts = ivp.t_span.a + dt * np.arange(n)
     ts[-1] = min(ts[-1], ivp.t_span.b)
@@ -355,32 +351,6 @@ def condition_h_margin(rhs: RhsSpec, p: ConditionHParams, t_samples, seed: int =
     return float(worst)
 
 
-def contraction_modulus(t, r, kappa, alpha):
-    """kappa-aware decay modulus omega_kappa(t, r); omega(0, r) = r."""
-    t = np.asarray(t, dtype=float)
-    if r == 0:
-        return np.zeros_like(t)
-    return (r ** (2.0 - alpha) + kappa * (alpha - 2.0) * t) ** (1.0 / (2.0 - alpha))
-
-
-def contraction_bound_check(sol1: SampledSignal, sol2: SampledSignal,
-                            kappa: float, alpha: float, tol: float = 1e-6):
-    """Check |sol1(t)-sol2(t)| <= omega_kappa(t-t0, r0) on the whole grid.
-
-    Returns (ok, max_violation); violations below tol are attributed to
-    integrator error.
-    """
-    if len(sol1) != len(sol2) or abs(sol1.dt - sol2.dt) > 1e-12 or abs(sol1.t0 - sol2.t0) > 1e-12:
-        raise GridMismatchError("solutions must share one grid")
-    d = sol1.values - sol2.values
-    dist = np.sqrt(np.sum((d * d.conj()).real, axis=1))
-    r0 = dist[0]
-    ts = sol1.dt * np.arange(len(sol1))
-    bound = contraction_modulus(ts, r0, kappa, alpha)
-    violation = float(np.max(dist - bound))
-    return violation <= tol, violation
-
-
 def attraction_time(delta0: float, eps: float, kappa: float, alpha: float) -> float:
     """Closed-form L with omega_kappa(L, delta0) = eps.
 
@@ -391,17 +361,6 @@ def attraction_time(delta0: float, eps: float, kappa: float, alpha: float) -> fl
     if eps >= delta0:
         raise BadOrderError(f"need eps < delta0, got eps={eps}, delta0={delta0}")
     return (eps ** (2.0 - alpha) - delta0 ** (2.0 - alpha)) / (kappa * (alpha - 2.0))
-
-
-def separation_estimate(sol1: SampledSignal, sol2: SampledSignal, w: Window) -> float:
-    """inf over grid points of w of the pointwise distance (the witness d)."""
-    if abs(sol1.dt - sol2.dt) > 1e-12:
-        raise GridMismatchError("solutions must share one grid step")
-    i0, i1 = sol1.window_slice(w)
-    j0, j1 = sol2.window_slice(w)
-    n = min(i1 - i0, j1 - j0) + 1
-    d = sol1.values[i0:i0 + n] - sol2.values[j0:j0 + n]
-    return float(np.min(np.sqrt(np.sum((d * d.conj()).real, axis=1))))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from . import _kernels
 from .errors import (
     DimMismatchError,
     DomainTooShortError,
-    HullNotAPError,
     WindowTooShortError,
 )
 from .signal import SampledSignal, Window, leader_clusters, shift_offset, shift_values, \
@@ -55,18 +54,24 @@ class TauSpec:
 #: a translation set is relatively dense when its largest gap is at most this
 #: many times its mean accepted spacing (:meth:`TranslationSet.relatively_dense`)
 GAP_BOUND_FACTOR = 3.0
+#: the dense tau grid of the remote-stationarity proxy (:func:`classify`)
+STATIONARY_TAUS = tuple(np.round(np.arange(0.5, 5.01, 0.5), 10))
+#: the Lagrange-stability proxy's bounds on max |s| and on max |s'| by one-step
+#: differences (:func:`lagrange_stable_proxy`)
+RANGE_BOUND = 1e6
+EQUICONTINUITY_BOUND = 50.0
 
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Knobs shared by the classifier stack; epsilon_grid sorted ascending."""
+    """Knobs shared by the classifier stack; epsilon_grid sorted ascending.
+
+    ``to_dict`` also records the fixed classifier constants GAP_BOUND_FACTOR,
+    STATIONARY_TAUS, RANGE_BOUND and EQUICONTINUITY_BOUND.
+    """
 
     epsilon_grid: tuple
     tau_candidates: TauSpec
-    gap_bound_factor: float = GAP_BOUND_FACTOR
-    stationary_taus: tuple = tuple(np.round(np.arange(0.5, 5.01, 0.5), 10))
-    range_bound: float = 1e6
-    equicontinuity_bound: float = 50.0
 
     def __post_init__(self):
         eg = tuple(float(e) for e in self.epsilon_grid)
@@ -83,10 +88,10 @@ class Thresholds:
                 "step": self.tau_candidates.step,
                 "refine": self.tau_candidates.refine,
             },
-            "gap_bound_factor": self.gap_bound_factor,
-            "stationary_taus": list(self.stationary_taus),
-            "range_bound": self.range_bound,
-            "equicontinuity_bound": self.equicontinuity_bound,
+            "gap_bound_factor": GAP_BOUND_FACTOR,
+            "stationary_taus": list(STATIONARY_TAUS),
+            "range_bound": RANGE_BOUND,
+            "equicontinuity_bound": EQUICONTINUITY_BOUND,
         }
 
 
@@ -144,10 +149,10 @@ class TranslationSet:
         gaps.extend(np.diff(reps))
         return float(max(gaps))
 
-    def relatively_dense(self, gap_bound_factor=GAP_BOUND_FACTOR):
+    def relatively_dense(self):
         """Finite-horizon relative-density certificate.
 
-        max_gap must not exceed gap_bound_factor times the typical accepted
+        max_gap must not exceed GAP_BOUND_FACTOR times the typical accepted
         spacing: the mean of dedup'd consecutive gaps (the candidate step
         when only one representative survives). Three-distance acceptance
         patterns make the minimum gap an unusable reference, so the mean
@@ -160,7 +165,7 @@ class TranslationSet:
             ref = self.step
         else:
             ref = float(np.mean(np.diff(reps)))
-        return self.max_gap <= gap_bound_factor * ref
+        return self.max_gap <= GAP_BOUND_FACTOR * ref
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -210,7 +215,11 @@ def _scan(taus, cands: TauSpec, eps: float, value, entry) -> TranslationSet:
     return TranslationSet(eps, entries, Window(0.0, float(np.max(taus))), cands.step)
 
 
-def _local_refine(objective, tau0, step, eps, stages=3, pts=13):
+#: refinement stages, and grid points per stage, of :func:`_local_refine`
+_REFINE_STAGES, _REFINE_POINTS = 3, 13
+
+
+def _local_refine(objective, tau0, step, eps):
     """Deterministic shrinking-grid minimization around a near-miss tau.
 
     ``objective(tau, bar)`` gets as bar the least value its stage has
@@ -225,8 +234,8 @@ def _local_refine(objective, tau0, step, eps, stages=3, pts=13):
     center = tau0
     half = step / 2
     best_t, best_v = tau0, np.inf
-    for _ in range(stages):
-        grid = center + np.linspace(-half, half, pts)
+    for _ in range(_REFINE_STAGES):
+        grid = center + np.linspace(-half, half, _REFINE_POINTS)
         grid = grid[grid > 0]
         vals, bar = [], np.inf
         for x in grid:
@@ -236,7 +245,7 @@ def _local_refine(objective, tau0, step, eps, stages=3, pts=13):
         if vals[i] < best_v:
             best_v, best_t = vals[i], grid[i]
         center = grid[i]
-        half = half / (pts // 2)
+        half = half / (_REFINE_POINTS // 2)
         if best_v < eps * 0.5:
             break
     return best_t, best_v
@@ -394,33 +403,25 @@ def _least_tails(s: SampledSignal, tau: float, eps_grid, min_tail: float):
     return [s.t0 + i * s.dt if i <= i_max else None for i in idx]
 
 
-def least_tail_threshold(s: SampledSignal, tau: float, eps: float, min_tail: float):
-    """Least grid L with tail sup |s(t+tau)-s(t)| < eps for t >= L, or None.
-
-    L must leave a tail of min_tail; it is one grid step past the last
-    point where the difference reaches eps.
-    """
-    return _least_tails(s, tau, (eps,), min_tail)[0]
-
-
-def remotely_tau_periodic_test(s: SampledSignal, tau: float, eps_grid, min_tail=None):
+def remotely_tau_periodic_test(s: SampledSignal, tau: float, eps_grid):
     """True iff for every eps the translate-by-tau passes the tail test.
 
+    L is the least grid point with sup |s(t+tau)-s(t)| < eps for t >= L,
+    one grid step past the last point where the difference reaches eps; it
+    must leave a tail of max(tau, 10 dt, MIN_TAIL_SPAN_FRACTION x span).
     One difference array serves the whole eps grid. Returns (flag, {eps: L or None}).
     """
     if s.span < 2 * tau:
         raise DomainTooShortError(f"domain {s.span} too short for tau={tau}")
-    if min_tail is None:
-        min_tail = max(tau, 10 * s.dt, MIN_TAIL_SPAN_FRACTION * s.span)
+    min_tail = max(tau, 10 * s.dt, MIN_TAIL_SPAN_FRACTION * s.span)
     Ls = _least_tails(s, tau, eps_grid, min_tail)
     table = {float(eps): L for eps, L in zip(eps_grid, Ls)}
     return all(L is not None for L in Ls), table
 
 
-def remotely_stationary_test(s: SampledSignal, eps_grid, taus, min_tail=None):
+def remotely_stationary_test(s: SampledSignal, eps_grid, taus):
     """Remote stationarity proxy: every tau in a dense grid passes every eps."""
-    witness = {float(tau): remotely_tau_periodic_test(s, tau, eps_grid, min_tail=min_tail)[0]
-               for tau in taus}
+    witness = {float(tau): remotely_tau_periodic_test(s, tau, eps_grid)[0] for tau in taus}
     return all(witness.values()), witness
 
 
@@ -600,61 +601,8 @@ def _best_alignment(src, tgt, offsets, cap):
 
 
 # ---------------------------------------------------------------------------
-# AAP tests
+# AAP proxy
 # ---------------------------------------------------------------------------
-
-def aap_test(s: SampledSignal, hull: HullSample, eps: float,
-             ap_cands: TauSpec = None, tail_fraction: float = 0.5,
-             align_slack: float = None):
-    """Asymptotic almost periodicity against a caller-built AP family.
-
-    Every hull member must itself pass the AP test at eps (HullNotAP
-    otherwise). The residual is the best tail sup distance between s and a
-    member slid over the final tail_fraction window; this realizes the
-    decomposition s = p + r with r judged on the tail. Each member's
-    alignment is capped at eps: a residual below eps is the exact minimum
-    over members and offsets; a residual >= eps is attained at the reported
-    member and delta, and every member's minimum is certified >= eps.
-
-    Returns (flag, residual, {"member": i, "delta": d}).
-    """
-    if not hull.members:
-        raise ValueError("hull is empty")
-    W = hull.window.length
-    # the AP precheck runs on a capped window: it guards against blatantly
-    # non-AP members, the caller vouches for the family itself
-    chk_span = min(W, 400.0)
-    if ap_cands is None:
-        ap_cands = TauSpec(lo=np.pi / 2, hi=chk_span / 4, step=np.pi / 2, refine=True)
-    for i, m in enumerate(hull.members):
-        mc = m.restrict(Window(m.t0, m.t0 + chk_span)) if m.span > chk_span else m
-        ts = translation_set_global(mc, eps, ap_cands.clipped(mc.span / 4))
-        if not ts.relatively_dense():
-            raise HullNotAPError(f"hull member {i} fails the AP test at eps={eps}")
-
-    dt = s.dt
-    if align_slack is None:
-        align_slack = min(0.2 * W, 40.0)
-    n_slack = int(np.floor(align_slack / dt))
-    tail_len = min(tail_fraction * s.span, W - align_slack)
-    n_tail = int(np.floor(tail_len / dt))
-    tail = _flat(s)[len(s) - n_tail:]
-
-    best = (np.inf, -1, 0)
-    offsets = np.arange(0, n_slack + 1, dtype=np.int64)
-    for i, m in enumerate(hull.members):
-        if abs(m.dt - dt) > 1e-9 * dt:
-            m = m.resample(dt)
-        src = _flat(m)
-        if len(src) < n_tail + 1:
-            continue
-        offs = offsets[offsets <= len(src) - n_tail]
-        v, k = _best_alignment(src, tail, offs, eps)
-        if v < best[0]:
-            best = (v, i, k)
-    residual = float(best[0])
-    return residual < eps, residual, {"member": int(best[1]), "delta": float(best[2] * dt)}
-
 
 def _disjoint_window_aap_residual(s: SampledSignal, eps: float):
     """AAP proxy without an external AP family.
@@ -712,18 +660,13 @@ class RecurrenceReport:
         }
 
 
-def lagrange_stable_proxy(s: SampledSignal, range_bound: float, equicontinuity_bound: float):
-    """Bounded range plus a one-step equicontinuity modulus estimate."""
-    v = s.values
-    mags = np.abs(v[:, 0]) if s.dim == 1 else np.sqrt(np.sum((v * v.conj()).real, axis=1))
-    max_abs = float(np.max(mags))
-    if len(s) > 1:
-        dv = np.abs(np.diff(v[:, 0])) if s.dim == 1 else np.sqrt(
-            np.sum((np.diff(v, axis=0) * np.diff(v, axis=0).conj()).real, axis=1))
-        modulus = float(np.max(dv) / s.dt)
-    else:
-        modulus = 0.0
-    ok = max_abs <= range_bound and modulus <= equicontinuity_bound
+def lagrange_stable_proxy(s: SampledSignal):
+    """Bounded range plus a one-step equicontinuity modulus estimate of a
+    scalar signal, against RANGE_BOUND and EQUICONTINUITY_BOUND."""
+    v = _flat(s)
+    max_abs = float(np.max(np.abs(v)))
+    modulus = float(np.max(np.abs(np.diff(v))) / s.dt) if len(s) > 1 else 0.0
+    ok = max_abs <= RANGE_BOUND and modulus <= EQUICONTINUITY_BOUND
     return ok, {"max_abs": max_abs, "equicontinuity_modulus": modulus}
 
 
@@ -747,7 +690,7 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
         dense[key] = True
         for eps in th.epsilon_grid:
             ts = scan(s, eps, cands)
-            ok = ts.relatively_dense(th.gap_bound_factor)
+            ok = ts.relatively_dense()
             evidence[key][f"{eps:g}"] = {
                 "n_accepted": int(len(ts.accepted_taus())),
                 "max_gap": ts.max_gap,
@@ -765,11 +708,10 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
             rtp_flag, rtp_tau = True, float(tau)
             evidence["remote_tau"] = {"tau": rtp_tau, "L_table": dict(table)}
             break
-    stat_flag, stat_witness = remotely_stationary_test(s, th.epsilon_grid, th.stationary_taus)
-    evidence["stationary"] = {"all_taus_pass": bool(stat_flag),
-                              "n_taus": len(th.stationary_taus)}
+    stat_flag, stat_witness = remotely_stationary_test(s, th.epsilon_grid, STATIONARY_TAUS)
+    evidence["stationary"] = {"all_taus_pass": bool(stat_flag), "n_taus": len(STATIONARY_TAUS)}
     if stat_flag and not rtp_flag:
-        rtp_flag, rtp_tau = True, float(th.stationary_taus[0])
+        rtp_flag, rtp_tau = True, float(STATIONARY_TAUS[0])
 
     aap_eps = th.epsilon_grid[0]
     residual, match_at = _disjoint_window_aap_residual(s, aap_eps)
@@ -777,7 +719,7 @@ def classify(s: SampledSignal, th: Thresholds) -> RecurrenceReport:
                        "threshold": aap_eps}
     aap_flag = residual < aap_eps
 
-    lag_flag, lag_ev = lagrange_stable_proxy(s, th.range_bound, th.equicontinuity_bound)
+    lag_flag, lag_ev = lagrange_stable_proxy(s)
     evidence["lagrange"] = lag_ev
 
     # monotone closure of the flag lattice

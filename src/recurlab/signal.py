@@ -1,4 +1,4 @@
-"""Uniform-grid sampled signals and the sup/tail distances built on them.
+"""Uniform-grid sampled signals and the sup distance built on them.
 
 A :class:`SampledSignal` carries a trajectory on a uniform time grid with
 values in R^d or C^d. Signals are immutable; every derived signal is a new
@@ -120,15 +120,11 @@ class SampledSignal:
             raise WindowOutOfDomainError(f"window [{w.a}, {w.b}] contains no grid point")
         return i0, i1
 
-    def restrict(self, w: Window, label=None):
+    def restrict(self, w: Window):
         """New signal holding the grid points inside w."""
         i0, i1 = self.window_slice(w)
-        return SampledSignal(
-            t0=self.t0 + i0 * self.dt,
-            dt=self.dt,
-            values=self.values[i0:i1 + 1],
-            label=self.label if label is None else label,
-        )
+        return SampledSignal(t0=self.t0 + i0 * self.dt, dt=self.dt,
+                             values=self.values[i0:i1 + 1], label=self.label)
 
     def value_at(self, t):
         """Linear interpolation between neighbouring grid points.
@@ -153,12 +149,11 @@ class SampledSignal:
         fr = (pos - k)[..., None]
         return (1.0 - fr) * self.values[k] + fr * self.values[k + 1]
 
-    def resample(self, new_dt, label=None):
+    def resample(self, new_dt):
         """Linear-interpolation resample onto a coarser/finer uniform grid."""
         ts = self.t0 + new_dt * np.arange(SampledSignal.grid_len(0.0, self.span, new_dt))
         vals = self._blend((ts - self.t0) / self.dt)
-        return SampledSignal(t0=self.t0, dt=new_dt, values=vals,
-                             label=self.label if label is None else label)
+        return SampledSignal(t0=self.t0, dt=new_dt, values=vals, label=self.label)
 
     @staticmethod
     def grid_len(t0, t1, dt):
@@ -166,16 +161,10 @@ class SampledSignal:
         return int(np.floor((t1 - t0) / dt + GRID_RTOL)) + 1
 
     @staticmethod
-    def from_function(fn, t0, t1, dt, label="", dim=None):
+    def from_function(fn, t0, t1, dt, label=""):
         """Sample a vectorized callable fn(t_array) on [t0, t1]."""
-        n = SampledSignal.grid_len(t0, t1, dt)
-        ts = t0 + dt * np.arange(n)
-        vals = np.asarray(fn(ts))
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if dim is not None and vals.shape[1] != dim:
-            raise DimMismatchError(f"function produced dim {vals.shape[1]}, expected {dim}")
-        return SampledSignal(t0=t0, dt=dt, values=vals, label=label)
+        ts = t0 + dt * np.arange(SampledSignal.grid_len(t0, t1, dt))
+        return SampledSignal(t0=t0, dt=dt, values=np.asarray(fn(ts)), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -303,37 +292,6 @@ def fiber_clusters(runs, burn_in: float, tol: float):
     return leaders, int(np.argmax(np.bincount(counts))), len(set(counts)) == 1
 
 
-def common_domain(s1: SampledSignal, s2: SampledSignal) -> Window:
-    a = max(s1.t0, s2.t0)
-    b = min(s1.t_end, s2.t_end)
-    if b < a:
-        raise WindowOutOfDomainError("signals share no common domain")
-    return Window(a, b)
-
-
-def tail_sup_distance(s1: SampledSignal, s2: SampledSignal, L: float) -> float:
-    """sup distance over [L, end of the common domain]."""
-    dom = common_domain(s1, s2)
-    if L > dom.b:
-        raise WindowOutOfDomainError(f"L={L} beyond common domain end {dom.b}")
-    return sup_distance(s1, s2, Window(max(L, dom.a), dom.b))
-
-
-def d_infinity_estimate(s1: SampledSignal, s2: SampledSignal, tail_fraction: float) -> float:
-    """Finite-horizon limsup proxy: sup distance over the final tail_fraction.
-
-    This is a monotone surrogate for the true limsup at infinity; it never
-    exceeds the full-window sup distance.
-    """
-    if not (0 < tail_fraction <= 1):
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    dom = common_domain(s1, s2)
-    if dom.length <= 0:
-        raise WindowOutOfDomainError("common domain is degenerate")
-    a = dom.b - tail_fraction * dom.length
-    return sup_distance(s1, s2, Window(a, dom.b))
-
-
 # ---------------------------------------------------------------------------
 # file interchange: `.npy` artifacts and CSV
 # ---------------------------------------------------------------------------
@@ -373,28 +331,67 @@ def read_signal(path) -> SampledSignal:
     sidecar, else a CSV through :func:`read_signal_csv`.
 
     A `.npy` file without its sidecar is a FileNotFoundError naming the
-    sidecar; a sidecar without the grid, or an array whose shape or dtype
-    disagrees with the sidecar's `dim` and `complex`, is a ValueError.
+    sidecar; a sidecar that :func:`_read_sidecar` refuses, or an array
+    whose shape or dtype disagrees with the sidecar's `dim` and `complex`,
+    is a ValueError.
     """
     if not _is_npy(path):
         return read_signal_csv(path)
+    descriptor = _read_sidecar(path)
+    vals = np.load(path, allow_pickle=False)
+    want = np.complex128 if descriptor["complex"] else np.float64
+    if vals.dtype != want or vals.ndim != 2 or vals.shape[1] != descriptor["dim"]:
+        raise ValueError(f"signal file {path} holds a {vals.dtype} array of shape "
+                         f"{vals.shape}; its sidecar {_sidecar_path(path)} declares dim "
+                         f"{descriptor['dim']}, complex {descriptor['complex']}")
+    return SampledSignal(t0=descriptor["t0"], dt=descriptor["dt"], values=vals,
+                         label=descriptor.get("label", ""))
+
+
+def _read_sidecar(path):
+    """The sidecar descriptor of signal file ``path``, a dict.
+
+    A `.npy` sidecar must hold dim, complex, t0 and dt, and its absence is
+    a FileNotFoundError naming it; a CSV may have none (the result is {}),
+    and its sidecar needs dim only when complex is true. A sidecar that is
+    not a JSON object, lacks a key its format needs, or holds a complex
+    that is not a boolean, a t0 or dt that is not a finite number, or a
+    label that is not a string, is a ValueError. A dim of any type is
+    checked against the data by the reader.
+    """
     side = _sidecar_path(path)
     try:
         with open(side) as fh:
             descriptor = json.load(fh)
     except FileNotFoundError:
-        raise FileNotFoundError(f"signal file {path} has no sidecar {side}") from None
-    missing = sorted({"dim", "complex", "t0", "dt"} - set(descriptor))
+        if _is_npy(path):
+            raise FileNotFoundError(f"signal file {path} has no sidecar {side}") from None
+        return {}
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"sidecar {side} of signal file {path} is not a JSON object")
+    if _is_npy(path):
+        needs = {"dim", "complex", "t0", "dt"}
+    else:
+        needs = {"dim"} if descriptor.get("complex", False) else set()
+    missing = sorted(needs - set(descriptor))
     if missing:
         raise ValueError(f"sidecar {side} of signal file {path} lacks {', '.join(missing)}")
-    vals = np.load(path, allow_pickle=False)
-    want = np.complex128 if descriptor["complex"] else np.float64
-    if vals.dtype != want or vals.ndim != 2 or vals.shape[1] != descriptor["dim"]:
-        raise ValueError(f"signal file {path} holds a {vals.dtype} array of shape "
-                         f"{vals.shape}; its sidecar {side} declares dim "
-                         f"{descriptor['dim']}, complex {descriptor['complex']}")
-    return SampledSignal(t0=descriptor["t0"], dt=descriptor["dt"], values=vals,
-                         label=descriptor.get("label", ""))
+    for key, ok, want in _SIDECAR_VALUES:
+        if key in descriptor and not ok(descriptor[key]):
+            raise ValueError(f"sidecar {side} of signal file {path} has {key} "
+                             f"{descriptor[key]!r}, not {want}")
+    return descriptor
+
+
+def _finite_number(x):
+    return type(x) in (int, float) and np.isfinite(x)
+
+
+#: (key, test, what the test wants) for each sidecar value read as more than data
+_SIDECAR_VALUES = (("complex", lambda x: type(x) is bool, "a boolean"),
+                   ("t0", _finite_number, "a finite number"),
+                   ("dt", _finite_number, "a finite number"),
+                   ("label", lambda x: type(x) is str, "a string"))
 
 
 def _write_sidecar(s, path):
@@ -427,7 +424,9 @@ def write_signal_csv(s: SampledSignal, path) -> None:
 def read_signal_csv(path) -> SampledSignal:
     """Load a signal CSV on the grid its sidecar records, else on t0 = t[0]
     and dt = (t[-1] - t[0]) / (n - 1); the `t` column must start at t0
-    and step by dt (jitter <= 1e-9 relative)."""
+    and step by dt (jitter <= 1e-9 relative). A sidecar's dim must match
+    the value columns (re,im pairs when complex); a sidecar
+    :func:`_read_sidecar` refuses is a ValueError."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     ts = data[:, 0]
     if len(ts) < 2:
@@ -435,20 +434,21 @@ def read_signal_csv(path) -> SampledSignal:
     diffs = np.diff(ts)
     if np.any(diffs <= 0):
         raise ValueError("signal CSV times must be strictly increasing")
-    try:
-        with open(_sidecar_path(path)) as fh:
-            descriptor = json.load(fh)
-    except FileNotFoundError:
-        descriptor = {"dim": data.shape[1] - 1, "complex": False, "label": ""}
+    descriptor = _read_sidecar(path)
     t0 = float(descriptor.get("t0", ts[0]))
     dt = float(descriptor.get("dt", (ts[-1] - ts[0]) / (len(ts) - 1)))
     tol = 1e-9 * max(1.0, abs(dt))
     if abs(ts[0] - t0) > tol or np.max(np.abs(diffs - dt)) > tol:
         raise ValueError(f"signal CSV times stray from the grid t0 {t0}, dt {dt}: "
                          "jitter exceeds 1e-9")
-    if descriptor.get("complex", False):
+    is_complex = descriptor.get("complex", False)
+    n_cols = data.shape[1] - 1
+    if "dim" in descriptor and n_cols / (2 if is_complex else 1) != descriptor["dim"]:
+        raise ValueError(f"signal CSV {path} has {n_cols} value columns; its sidecar "
+                         f"declares dim {descriptor['dim']}, complex {is_complex}")
+    if is_complex:
         # re,im pairs reinterpreted in place: `re + 1j * im` would drop the sign of a zero
-        vals = np.ascontiguousarray(data[:, 1:1 + 2 * descriptor["dim"]]).view(np.complex128)
+        vals = np.ascontiguousarray(data[:, 1:]).view(np.complex128)
     else:
         vals = data[:, 1:]
     return SampledSignal(t0=t0, dt=dt, values=vals, label=descriptor.get("label", ""))

@@ -10,7 +10,6 @@ from recurlab.algebra import (
     classify_branches,
     discriminant_signal,
     root_bound_check,
-    roots_at,
     roots_grid,
     roots_report,
     separation_certificate,
@@ -21,11 +20,13 @@ from recurlab.errors import BranchCollisionError, NonConvergenceError
 from recurlab.recurrence import TauSpec, Thresholds
 from recurlab.signal import SampledSignal
 
+from helpers import poly_path
+
 ROOT2 = np.sqrt(2.0)
 
 
 def const_poly(coeffs, t1=1.0, dt=0.5):
-    return PolyPath.from_functions(
+    return poly_path(
         [lambda t, c=c: np.full_like(t, c, dtype=complex) for c in coeffs], 0.0, t1, dt)
 
 
@@ -34,17 +35,17 @@ def const_poly(coeffs, t1=1.0, dt=0.5):
 # ---------------------------------------------------------------------------
 
 def test_roots_of_x2_plus_1():
-    r = np.sort_complex(roots_at(const_poly([0.0, 1.0]), 0.0))
+    r = np.sort_complex(roots_grid(const_poly([0.0, 1.0]))[0])
     assert np.allclose(r, [-1j, 1j], atol=1e-12)
 
 
 def test_roots_of_factorable_quadratic():
-    r = np.sort(roots_at(const_poly([-3.0, 2.0]), 0.0).real)
+    r = np.sort(roots_grid(const_poly([-3.0, 2.0]))[0].real)
     assert np.allclose(r, [1.0, 2.0], atol=1e-12)
 
 
 def test_cube_roots_of_unity_pairwise_distance():
-    r = roots_at(const_poly([0.0, 0.0, -1.0]), 0.0)
+    r = roots_grid(const_poly([0.0, 0.0, -1.0]))[0]
     dists = [abs(r[i] - r[j]) for i in range(3) for j in range(i + 1, 3)]
     assert np.allclose(dists, np.sqrt(3), atol=1e-10)
 
@@ -54,7 +55,7 @@ def test_roots_match_numpy_reference():
     for _ in range(120):
         n = int(rng.integers(1, 7))
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        mine = np.sort_complex(roots_at(const_poly(list(a)), 0.0))
+        mine = np.sort_complex(roots_grid(const_poly(list(a)))[0])
         ref = np.sort_complex(np.roots(np.concatenate([[1.0 + 0j], a])))
         scale = (1 + np.max(np.abs(a))) ** n
         assert np.max(np.abs(mine - ref)) <= 1e-7 * scale
@@ -66,7 +67,7 @@ def test_roots_match_numpy_reference():
         n = int(rng.integers(2, 9))
         known = 10.0 ** rng.uniform(-2, 2, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
         known[1] = known[0] * (1 + 1e-6 * np.exp(2j * np.pi * rng.uniform()))
-        got = roots_at(const_poly(list(np.poly(known)[1:])), 0.0)
+        got = roots_grid(const_poly(list(np.poly(known)[1:])))[0]
         dist = np.abs(got[:, None] - known[None, :])
         gi, ki = linear_sum_assignment(dist)
         # a residual of RESIDUAL_RTOL times the size of the polynomial's
@@ -87,7 +88,7 @@ def test_subnormal_aberth_step_raises_no_warning():
     c = complex(7.0, 2.2250738585072014e-308)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        r = roots_at(const_poly([c]), 0.0)
+        r = roots_grid(const_poly([c]))[0]
     assert np.allclose(r, [-c], rtol=0, atol=1e-12)
 
 
@@ -101,7 +102,7 @@ def test_subnormal_derivative_at_a_root_raises_no_warning(coeffs):
     # the complex division; the polish must not divide there at all
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        r = roots_at(const_poly(coeffs), 0.0)
+        r = roots_grid(const_poly(coeffs))[0]
     assert np.all(np.isfinite(r))
     assert np.min(np.abs(r)) == 0.0
 
@@ -123,7 +124,7 @@ EXTREME_QUADRATICS = [
 def test_closed_form_quadratic_at_extreme_scales(a1, a2, exact):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = roots_at(const_poly([a1, a2]), 0.0)
+        got = roots_grid(const_poly([a1, a2]))[0]
     got = got[np.lexsort((got.real, got.imag))]
     exact = np.array(exact, dtype=complex)
     exact = exact[np.lexsort((exact.real, exact.imag))]
@@ -164,11 +165,11 @@ def test_gate_that_overflows_refuses():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NonConvergenceError):
-            roots_at(const_poly([1e200, -1e200, 3.0]), 0.0)
+            roots_grid(const_poly([1e200, -1e200, 3.0]))
 
 
 def test_residual_tolerance_met_on_grid():
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: np.exp(1j * t), lambda t: (np.sin(t) - 2).astype(complex)],
         0.0, 50.0, 0.01)
     roots = roots_grid(p)
@@ -196,7 +197,7 @@ def test_discriminant_double_root_is_zero():
 
 def test_discriminant_quadratic_closed_form_cross_check():
     # product form vs -(a1^2 - 4 a2) along a whole path
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: (0.3 * np.sin(t)).astype(complex),
          lambda t: -(2 + np.cos(ROOT2 * t)).astype(complex)], 0.0, 100.0, 0.01)
     d = discriminant_signal(p).values[:, 0]
@@ -208,7 +209,7 @@ def test_discriminant_quadratic_closed_form_cross_check():
 def test_discriminant_sign_convention_vandermonde():
     # D = (-1)^(n(n-1)/2) * (prod_{i<j} (li - lj))^2 for a cubic
     p = const_poly([0.0, -1.0, 0.5])
-    roots = roots_at(p, 0.0)
+    roots = roots_grid(p)[0]
     vand = 1.0
     for i in range(3):
         for j in range(i + 1, 3):
@@ -232,7 +233,7 @@ def test_constant_coefficients_give_constant_branches():
 
 
 def test_branch_order_canonical():
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: 0 * t, lambda t: -(3 + np.sin(t)).astype(complex)], 0.0, 50.0, 0.01)
     rb1 = track_branches(p)
     rb2 = track_branches(p)
@@ -242,12 +243,12 @@ def test_branch_order_canonical():
 
 
 def test_separated_quadratic_branches():
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: 0 * t, lambda t: -(3 + np.sin(t) + np.sin(ROOT2 * t))],
         0.0, 400.0, 0.005)
     rb = track_branches(p)
     assert rb.residual_max <= 1e-10
-    assert rb.separation_min >= 2.0 - 1e-6
+    assert rb.separation.min() >= 2.0 - 1e-6
     assert np.min(np.abs(rb.discriminant.values)) >= 4.0 - 1e-6
     # explicit square-root branch oracle
     ts = rb.branches[0].times()
@@ -258,7 +259,7 @@ def test_separated_quadratic_branches():
 
 
 def test_vieta_reconstruction():
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: np.exp(1j * 0.3 * t), lambda t: (np.cos(t) - 3).astype(complex),
          lambda t: (0.5 * np.sin(t)).astype(complex)], 0.0, 30.0, 0.01)
     rb = track_branches(p)
@@ -281,7 +282,7 @@ def test_degree_seven_branches_by_assignment():
     # x^7 - f(t), f = 0.5 + 0.125 sin t: branch k is f^(1/7) w_k for a
     # fixed seventh root of unity w_k; every root moves far less than half
     # the separation, so nearest-root continuation is the optimal assignment
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: 0 * t] * 6 + [lambda t: -(0.5 + 0.125 * np.sin(t)).astype(complex)],
         0.0, 20.0, 0.01)
     rb = track_branches(p)
@@ -292,12 +293,12 @@ def test_degree_seven_branches_by_assignment():
     expected = f[:, None] ** (1 / 7) * unit[order][None, :]
     assert np.max(np.abs(bm - expected)) < 1e-12
     motion = np.max(np.abs(np.diff(bm, axis=0)))
-    assert motion < 1e-3 < 0.5 * rb.separation_min
+    assert motion < 1e-3 < 0.5 * rb.separation.min()
     assert rb.residual_max <= RESIDUAL_RTOL * (1 + 0.625) ** 7
 
 
 def test_branch_collision_on_double_root_path():
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: 0 * t, lambda t: -t.astype(complex)], -1.0, 1.0, 0.002)
     with pytest.raises(BranchCollisionError) as exc:
         track_branches(p)
@@ -306,7 +307,7 @@ def test_branch_collision_on_double_root_path():
 
 
 def test_root_bound_examples():
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: 0 * t, lambda t: -(3 + np.sin(t) + np.sin(ROOT2 * t))],
         0.0, 400.0, 0.005)
     rb = track_branches(p)
@@ -320,7 +321,7 @@ def test_root_bound_examples():
 
 
 def test_separation_certificate_pass_and_fail():
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: 0 * t, lambda t: -(3 + np.sin(t) + np.sin(ROOT2 * t))],
         0.0, 400.0, 0.005)
     rb = track_branches(p)
@@ -371,8 +372,7 @@ def test_zhikov_pure_decay_trackable_window():
     f = SampledSignal.from_function(lambda t: np.exp(-t).astype(complex),
                                     0.0, 14.0, 0.0025, label="decay")
     th = Thresholds(epsilon_grid=(0.25,),
-                    tau_candidates=TauSpec(lo=0.5, hi=3.0, step=0.5, refine=False),
-                    stationary_taus=(0.5, 1.0, 2.0))
+                    tau_candidates=TauSpec(lo=0.5, hi=3.0, step=0.5, refine=False))
     report, rb = zhikov_pipeline(f, with_decay=True, th=th, classify_dt=0.0025)
     assert rb is not None
     assert not report["collisions"]
@@ -388,7 +388,7 @@ def test_hull_coherence_discriminant_floor():
     # observed on the unshifted tail (the hull inherits the separation)
     from recurlab.signal import translate
 
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: 0 * t, lambda t: -(3 + np.sin(t) + np.sin(ROOT2 * t))],
         0.0, 800.0, 0.01)
     rb = track_branches(p)
@@ -402,7 +402,7 @@ def test_hull_coherence_discriminant_floor():
 
 
 def test_classify_branches_downsampling_consistency():
-    p = PolyPath.from_functions(
+    p = poly_path(
         [lambda t: 0 * t, lambda t: -(3 + np.sin(t) + np.sin(ROOT2 * t))],
         0.0, 600.0, 0.005)
     rb = track_branches(p)
@@ -414,7 +414,7 @@ def test_classify_branches_downsampling_consistency():
 
 def test_separation_ok_is_reported_only_against_a_positive_claim():
     # x^2 - (4 + 0.5 sin t): roots +-sqrt(4 + 0.5 sin t), separation >= 2 sqrt(3.5)
-    p = PolyPath.from_functions([lambda t: np.zeros_like(t, dtype=complex),
+    p = poly_path([lambda t: np.zeros_like(t, dtype=complex),
                                  lambda t: -(4.0 + 0.5 * np.sin(t)) + 0j], 0.0, 20.0, 0.01)
     bare, _ = roots_report(p)
     assert "separation_ok" not in bare and bare["separation_min"] > 3.7

@@ -112,6 +112,33 @@ def test_assertion_path_with_dotted_keys():
     ]) == []
 
 
+def test_bad_assertion_paths_and_ops_are_failures_not_crashes(tmp_path):
+    # a list index out of range or not an integer, and an op that cannot
+    # compare (ge on the null separation of one root), each become a failure
+    # with its error; the run still writes its manifest and exits 1
+    cfg = {
+        "schema": 1, "kind": "roots", "seed": 0, "output_dir": "out/linear",
+        "span": 20.0, "dt": 0.01, "coefficients": [{"forcing": "sin", "offset": 2.0}],
+        "classify": {"classify_dt": 0.05,
+                     "thresholds": {"epsilon_grid": [0.2],
+                                    "tau": {"lo": 1.0, "hi": 5.0, "step": 1.0}}},
+        "assertions": [{"path": "branches.3.ap", "op": "is", "value": True},
+                       {"path": "branches.x.ap", "op": "is", "value": True},
+                       {"path": "separation_min", "op": "ge", "value": 0.5},
+                       {"path": "degree", "op": "eq", "value": 1}],
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert main(["run", str(path), "--output-root", str(tmp_path)]) == 1
+    out = tmp_path / "out/linear"
+    assert json.loads((out / "manifest.json").read_text())["passed"] is False
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["assertion"]["path"] for f in failures] == [
+        "branches.3.ap", "branches.x.ap", "separation_min"]
+    assert "no list index '3' in a list of 1" in failures[0]["error"]
+    assert "no list index 'x'" in failures[1]["error"]
+    assert failures[2]["got"] is None and failures[2]["error"].startswith("op 'ge': ")
+
+
 def _threshold_blocks(node):
     if isinstance(node, dict):
         for key, value in node.items():
@@ -430,10 +457,11 @@ def test_roots_from_coefficient_files(suffix, tmp_path):
     # on the config's grid they give the report of the config that samples them
     import numpy as np
 
-    from recurlab.algebra import PolyPath
     from recurlab.signal import write_signal
 
-    p = PolyPath.from_functions(
+    from helpers import poly_path
+
+    p = poly_path(
         [lambda t: 0 * t, lambda t: -(3 + np.sin(t)).astype(complex)], 0.0, 100.0, 0.01)
     for k, c in enumerate(p.coeffs):
         write_signal(c, tmp_path / f"a{k + 1}{suffix}")
@@ -471,6 +499,11 @@ def test_classify_runs_the_same_from_a_csv_and_an_npy_signal(tmp_path):
         reports.append((tmp_path / "out" / name / "report.json").read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["window"] == [0.0, 300.0]
+    # the fixed classifier constants are recorded beside the config's thresholds
+    fixed = ("gap_bound_factor", "stationary_taus", "range_bound", "equicontinuity_bound")
+    assert {k: json.loads(reports[0])["thresholds"][k] for k in fixed} == {
+        "gap_bound_factor": 3.0, "stationary_taus": [0.5 * k for k in range(1, 11)],
+        "range_bound": 1e6, "equicontinuity_bound": 50.0}
 
 
 def roots_with(coefficient, **grid):
@@ -488,7 +521,8 @@ FILE_INPUTS = {
 
 
 @pytest.mark.parametrize("name", ["missing_csv.csv", "missing.npy", "no_sidecar.npy",
-                                  "empty.npy", "garbled.csv"])
+                                  "empty.npy", "garbled.csv", "list_sidecar.csv",
+                                  "null_t0_sidecar.npy"])
 @pytest.mark.parametrize("kind", FILE_INPUTS)
 def test_unreadable_input_file_exits_two_naming_it(kind, name, tmp_path, capsys):
     import numpy as np
@@ -503,6 +537,13 @@ def test_unreadable_input_file_exits_two_naming_it(kind, name, tmp_path, capsys)
         bad.write_bytes(b"")
     elif name == "garbled.csv":
         bad.write_text("t,v0\n0,x\n1,y\n")
+    elif name == "list_sidecar.csv":
+        write_signal(SampledSignal.from_function(np.sin, 0.0, 1.0, 0.5), bad)
+        bad.with_suffix(".json").write_text("[1, 2]")
+    elif name == "null_t0_sidecar.npy":
+        write_signal(SampledSignal.from_function(np.sin, 0.0, 1.0, 0.5), bad)
+        side = bad.with_suffix(".json")
+        side.write_text(json.dumps({**json.loads(side.read_text()), "t0": None}))
     path = write_cfg(tmp_path, FILE_INPUTS[kind]({"file": str(bad)}))
     assert main(["validate", str(path)]) == 0  # validate opens no input file
     capsys.readouterr()

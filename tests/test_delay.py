@@ -10,11 +10,12 @@ from recurlab.delay import (
     HistorySegment,
     integrate_dde,
     precompactness_proxy,
-    segment_trajectory,
 )
-from recurlab.errors import LagOutOfRangeError, NonFiniteValueError, SampleBeforeDelayError
+from recurlab.errors import LagOutOfRangeError, NonFiniteValueError
 from recurlab.flows import IVP, RhsSpec, integrate
-from recurlab.signal import SampledSignal, Window, sup_distance
+from recurlab.signal import Window
+
+from helpers import history_from_function
 
 
 def test_first_interval_is_linear():
@@ -77,47 +78,6 @@ def test_constant_trajectory_proxy_true():
     assert ok
 
 
-def test_segments_constant_trajectory_all_equal():
-    u = SampledSignal(t0=0.0, dt=0.01, values=np.full(5001, 1.3))
-    segs = segment_trajectory(u, 2.0, [5.0, 20.0, 40.0])
-    w = segs[0].samples.domain
-    for seg in segs[1:]:
-        assert sup_distance(segs[0].samples, seg.samples, w) == 0.0
-
-
-def test_segments_periodicity_of_sine():
-    u = SampledSignal.from_function(np.sin, 0.0, 30.0, 0.001)
-    segs = segment_trajectory(u, 2 * np.pi, [7.0, 7.0 + 2 * np.pi])
-    d = sup_distance(segs[0].samples, segs[1].samples, segs[0].samples.domain)
-    assert d <= 1e-5
-
-
-def test_segment_endpoint_matches_trajectory():
-    u = SampledSignal.from_function(np.sin, 0.0, 30.0, 0.001)
-    [seg] = segment_trajectory(u, 2.0, [9.0])
-    assert seg.samples.values[-1, 0] == pytest.approx(u.value_at(9.0)[0])
-
-
-def test_segment_before_delay_rejected():
-    u = SampledSignal.from_function(np.sin, 0.0, 30.0, 0.01)
-    with pytest.raises(SampleBeforeDelayError):
-        segment_trajectory(u, 2.0, [1.0])
-
-
-def test_segment_distance_dominates_endpoint_distance():
-    rng = np.random.default_rng(3)
-    base = np.cumsum(rng.normal(size=400)) * 0.05
-    u = SampledSignal(t0=0.0, dt=0.01, values=base)
-    v = SampledSignal(t0=0.0, dt=0.01, values=base + 0.1 * np.sin(np.arange(400)))
-    r = 1.0
-    for t in (1.5, 2.5, 3.5):
-        [su] = segment_trajectory(u, r, [t])
-        [sv] = segment_trajectory(v, r, [t])
-        seg_dist = sup_distance(su.samples, sv.samples, su.samples.domain)
-        endpoint = abs(u.value_at(t)[0] - v.value_at(t)[0])
-        assert seg_dist >= endpoint - 1e-12
-
-
 def test_contracting_delay_equation_with_rap_forcing_is_rap():
     # u' = -2 u(t) + 0.5 u(t-1) + sin(t + ln(1+t)): the Lipschitz gap makes
     # the equation contracting, and the solution inherits the forcing's
@@ -142,7 +102,7 @@ def test_contracting_delay_equation_with_rap_forcing_is_rap():
 def test_two_lag_linear_combination():
     # u' = -u(t) + 0.25 u(t-1): contraction; compare against a dense-grid rerun
     rhs = DelayRhsSpec(lags=(0.0, -1.0), params={"weights": [-1.0, 0.25]})
-    init = HistorySegment.from_function(1.0, lambda t: 1 + 0.3 * t)
+    init = history_from_function(1.0, lambda t: 1 + 0.3 * t)
     coarse = integrate_dde(rhs, init, 8.0, dt=0.01)
     fine = integrate_dde(rhs, init, 8.0, dt=0.002)
     n = min(len(coarse), len(fine.resample(coarse.dt)))
@@ -232,7 +192,7 @@ def test_chunked_steps_match_the_step_by_step_reference():
     f = build_forcing("rap_sin_log", 0.0, 10.0, 0.005)
     rhs = DelayRhsSpec(lags=(0.0, -0.37, -1.0), params={"weights": [-1.5, 0.4, -0.3]},
                        forcing=f)
-    init = HistorySegment.from_function(
+    init = history_from_function(
         1.0, lambda t: np.column_stack([1 + 0.3 * t, np.cos(2 * t)]), dt=0.01)
     u = integrate_dde(rhs, init, 5.0, dt=0.01)
     ref = _rk4_step_by_step(rhs, init, 5.0, 0.01)

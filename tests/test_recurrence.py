@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurlab.errors import DomainTooShortError, EmptyDomainError, HullNotAPError, \
-    WindowTooShortError
+from recurlab.errors import DomainTooShortError, EmptyDomainError, WindowTooShortError
 from recurlab.recurrence import (
     TauSpec,
     Thresholds,
-    aap_test,
+    _least_tails,
     classify,
     equi_ap_test,
-    least_tail_threshold,
     minimality_test,
     omega_limit_sample,
     remotely_stationary_test,
@@ -19,6 +17,8 @@ from recurlab.recurrence import (
     translation_set_remote,
 )
 from recurlab.signal import SampledSignal, Window, sup_distance, translate
+
+from helpers import tail_residual
 
 TWO_PI = 2 * np.pi
 
@@ -305,44 +305,28 @@ def test_capped_alignment_stops_early_on_a_saturating_chirp(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# AAP
+# AAP residual (the oracle of acceptance criterion 1)
 # ---------------------------------------------------------------------------
 
-def _sin_family_hull(t1, dt, n_phases=40):
-    from recurlab.recurrence import HullSample
-
-    members = [SampledSignal.from_function(lambda t, c=c: np.sin(t + c), 0.0, t1, dt)
-               for c in np.linspace(0, TWO_PI, n_phases, endpoint=False)]
-    w = Window(0.0, t1)
-    n = len(members)
-    return HullSample(members, np.zeros(n), w)
+def _sin_family(t1, dt, n_phases=40):
+    return [SampledSignal.from_function(lambda t, c=c: np.sin(t + c), 0.0, t1, dt)
+            for c in np.linspace(0, TWO_PI, n_phases, endpoint=False)]
 
 
-def test_aap_test_accepts_sin_plus_decay():
+def test_aap_residual_of_sin_plus_decay_is_small():
+    # s = sin + exp(-t): its tail on [200, 400] is a phase-shifted sine up to e^-200
     s = SampledSignal.from_function(lambda t: np.sin(t) + np.exp(-t), 0.0, 400.0, 0.005)
-    hull = _sin_family_hull(400.0, 0.005)
-    flag, residual, _ = aap_test(s, hull, 0.05)
-    assert flag
-    assert residual < 0.01
+    assert tail_residual(s, _sin_family(400.0, 0.005), 0.05, 200.0, 40.0) < 0.01
 
 
-def test_aap_test_rejects_drifting_sine_residual_half():
-    # the classical drifting sine stays 0.5 away from every phase-shifted sine
-    s = drifting_sine()
-    hull = _sin_family_hull(4000.0, 0.005, n_phases=60)
-    flag, residual, _ = aap_test(s, hull, 0.05, tail_fraction=0.75)
-    assert not flag
-    assert residual >= 0.5
-
-
-def test_aap_zero_signal_decomposes_with_zero_part():
-    from recurlab.recurrence import HullSample
-
+def test_aap_residual_of_the_zero_signal_against_itself_is_zero():
     z = SampledSignal(t0=0.0, dt=0.01, values=np.zeros(40001))
-    hull = HullSample([z], np.zeros(1), Window(0, 400))
-    flag, residual, _ = aap_test(z, hull, 0.05)
-    assert flag and residual == 0.0
+    assert tail_residual(z, [z], 0.05, 200.0, 40.0) == 0.0
 
+
+# ---------------------------------------------------------------------------
+# classify
+# ---------------------------------------------------------------------------
 
 def test_classify_domain_too_short():
     s = SampledSignal.from_function(np.sin, 0.0, 5.0, 0.01)
@@ -351,20 +335,6 @@ def test_classify_domain_too_short():
     with pytest.raises(DomainTooShortError):
         classify(s, th)
 
-
-def test_aap_test_raises_on_non_ap_hull():
-    from recurlab.recurrence import HullSample
-
-    s = SampledSignal.from_function(np.sin, 0.0, 400.0, 0.005)
-    bad = SampledSignal.from_function(lambda t: np.sin(0.01 * t * t), 0.0, 400.0, 0.005)
-    hull = HullSample([bad], np.zeros(1), Window(0, 400))
-    with pytest.raises(HullNotAPError):
-        aap_test(s, hull, 0.05)
-
-
-# ---------------------------------------------------------------------------
-# classify
-# ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def th():
@@ -434,12 +404,13 @@ def test_remote_tau_periodicity_passes_to_hull_members():
 
 
 def assert_least_tail_exact(s, tau, eps, min_tail):
-    """least_tail_threshold is exact at grid resolution, against a direct scan.
+    """The least tail threshold L with sup |s(t+tau)-s(t)| < eps for t >= L
+    is exact at grid resolution, against a direct scan.
 
     Returns the grid index of L, or None when no admissible L exists: the
     latest one leaves a tail of min_tail, and it fails too.
     """
-    L = least_tail_threshold(s, tau, eps, min_tail=min_tail)
+    L = _least_tails(s, tau, (eps,), min_tail)[0]
     try:
         sh = translate(s, tau).values[:, 0]
     except EmptyDomainError:

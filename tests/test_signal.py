@@ -7,11 +7,9 @@ from recurlab.errors import EmptyDomainError, WindowOutOfDomainError
 from recurlab.signal import (
     SampledSignal,
     Window,
-    d_infinity_estimate,
     read_signal,
     read_signal_csv,
     sup_distance,
-    tail_sup_distance,
     translate,
     write_signal,
     write_signal_csv,
@@ -86,46 +84,34 @@ def test_sup_distance_window_validation(sin_signal):
         sup_distance(sin_signal, sin_signal, Window(0, 200.0))
 
 
+def tail_sup(a, b, L):
+    """sup over t >= L of |a(t) - b(t)|, on the common grid of a and b."""
+    return sup_distance(a, b, Window(L, min(a.t_end, b.t_end)))
+
+
 def test_tail_sup_exponential():
     e = SampledSignal.from_function(lambda t: np.exp(-t), 0, 20, 0.001)
     z = SampledSignal.from_function(lambda t: 0 * t, 0, 20, 0.001)
-    assert tail_sup_distance(e, z, 10.0) == pytest.approx(np.exp(-10), abs=1e-6)
+    assert tail_sup(e, z, 10.0) == pytest.approx(np.exp(-10), abs=1e-6)
 
 
 def test_tail_sup_identical_any_L(sin_signal):
     for L in (0.0, 17.3, 60.0):
-        assert tail_sup_distance(sin_signal, sin_signal, L) == 0.0
+        assert tail_sup(sin_signal, sin_signal, L) == 0.0
 
 
 def test_tail_sup_sin_vs_zero():
     s = SampledSignal.from_function(np.sin, 0, 50, 0.001)
     z = SampledSignal.from_function(lambda t: 0 * t, 0, 50, 0.001)
     # any tail of length >= 2*pi sees the full amplitude
-    assert tail_sup_distance(s, z, 11.0) == pytest.approx(1.0, abs=1e-5)
+    assert tail_sup(s, z, 11.0) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_tail_sup_nonincreasing_in_L():
     s = SampledSignal.from_function(lambda t: np.exp(-0.3 * t) * np.sin(3 * t), 0, 40, 0.005)
     z = SampledSignal.from_function(lambda t: 0 * t, 0, 40, 0.005)
-    values = [tail_sup_distance(s, z, L) for L in np.linspace(0, 30, 13)]
+    values = [tail_sup(s, z, L) for L in np.linspace(0, 30, 13)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-
-
-def test_d_infinity_examples():
-    s1 = SampledSignal.from_function(np.sin, 0, 100, 0.001)
-    s2 = SampledSignal.from_function(lambda t: np.sin(t) + np.exp(-t), 0, 100, 0.001)
-    assert d_infinity_estimate(s1, s1, 0.25) == 0.0
-    assert d_infinity_estimate(s1, s2, 0.25) == pytest.approx(np.exp(-75), abs=1e-6)
-    c = SampledSignal.from_function(np.cos, 0, 100, 0.001)
-    assert d_infinity_estimate(s1, c, 0.25) == pytest.approx(np.sqrt(2), abs=1e-3)
-
-
-def test_d_infinity_bounded_by_full_sup():
-    s1 = SampledSignal.from_function(lambda t: np.sin(t) + 0.4 * np.exp(-t), 0, 60, 0.002)
-    s2 = SampledSignal.from_function(np.sin, 0, 60, 0.002)
-    full = sup_distance(s1, s2, Window(0, 60))
-    for rho in (0.1, 0.5, 1.0):
-        assert d_infinity_estimate(s1, s2, rho) <= full + 1e-15
 
 
 def test_complex_signals_supported():
@@ -237,3 +223,51 @@ def test_npy_signal_that_disagrees_with_its_sidecar_is_refused(descriptor, match
     (tmp_path / "sig.json").write_text(json.dumps(descriptor))
     with pytest.raises(ValueError, match=match):
         read_signal(path)
+
+
+@pytest.mark.parametrize("name, sidecar, match", [
+    ("sig.npy", 1.5, "not a JSON object"),
+    ("sig.npy", [1, 2], "not a JSON object"),
+    ("sig.csv", [1, 2], "not a JSON object"),
+    ("sig.csv", {"complex": True, "t0": 0, "dt": 0.1}, "lacks dim"),
+], ids=["npy_number", "npy_list", "csv_list", "csv_complex_no_dim"])
+def test_a_malformed_sidecar_is_a_value_error_naming_it(name, sidecar, match, tmp_path):
+    s = SampledSignal.from_function(lambda t: np.exp(1j * t), 0.0, 1.0, 0.1)
+    write_signal(s, tmp_path / name)
+    (tmp_path / "sig.json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match=f"sidecar .*sig.json .*{match}"):
+        read_signal(tmp_path / name)
+
+
+@pytest.mark.parametrize("fn, dim, is_complex", [
+    (lambda t: np.exp(1j * t), 2, True),
+    (lambda t: np.exp(1j * t), None, True),
+    (lambda t: np.column_stack([np.sin(t), np.cos(t)]), 1, False),
+], ids=["complex", "complex_null", "real"])
+def test_a_csv_whose_sidecar_dim_misses_its_columns_is_refused(fn, dim, is_complex, tmp_path):
+    # .npy and CSV alike: the sidecar's dim must match the data it describes
+    write_signal(SampledSignal.from_function(fn, 0.0, 1.0, 0.1), tmp_path / "sig.csv")
+    (tmp_path / "sig.json").write_text(json.dumps({"dim": dim, "complex": is_complex}))
+    want = f"2 value columns; its sidecar declares dim {dim}, complex {is_complex}"
+    with pytest.raises(ValueError, match=want):
+        read_signal(tmp_path / "sig.csv")
+
+
+@pytest.mark.parametrize("name, key, value, want", [
+    ("sig.npy", "dt", "x", "a finite number"),
+    ("sig.npy", "t0", None, "a finite number"),
+    ("sig.npy", "complex", "yes", "a boolean"),
+    ("sig.npy", "label", 3, "a string"),
+    ("sig.csv", "dt", [1], "a finite number"),
+    ("sig.csv", "t0", float("nan"), "a finite number"),
+    ("sig.csv", "complex", 1, "a boolean"),
+], ids=["npy_dt_str", "npy_t0_null", "npy_complex_str", "npy_label_int",
+        "csv_dt_list", "csv_t0_nan", "csv_complex_int"])
+def test_a_sidecar_value_of_the_wrong_type_is_a_value_error_naming_it(name, key, value,
+                                                                      want, tmp_path):
+    write_signal(SampledSignal.from_function(lambda t: np.exp(1j * t), 0.0, 1.0, 0.1),
+                 tmp_path / name)
+    side = tmp_path / "sig.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), key: value}))
+    with pytest.raises(ValueError, match=f"sidecar .*sig.json .* has {key} .*, not {want}$"):
+        read_signal(tmp_path / name)
