@@ -8,8 +8,8 @@ pow, norm} for custom systems.
 
 import numpy as np
 
-from .errors import ConfigError
-from .signal import SampledSignal
+from .errors import ConfigError, WindowOutOfDomainError
+from .signal import GRID_RTOL, SampledSignal
 
 ROOT2 = np.sqrt(2.0)
 
@@ -136,25 +136,44 @@ def build_forcing(fid: str, t0: float, t1: float, dt: float, params=None) -> Sam
 # ODE right-hand sides f(t, x)
 # ---------------------------------------------------------------------------
 
+def check_forcing_reads(forcing, lo, hi):
+    """Raise WindowOutOfDomainError unless a forcing's span holds [lo, hi]
+    (to GRID_RTOL grid steps, as ``SampledSignal.value_at``); no forcing
+    passes. Fields built on :func:`scalar_interp` do not check their
+    reads, so each ODE and map solve checks all of them here, once."""
+    if forcing is None:
+        return
+    if ((lo - forcing.t0) / forcing.dt < -GRID_RTOL
+            or (hi - forcing.t0) / forcing.dt > len(forcing) - 1 + GRID_RTOL):
+        raise WindowOutOfDomainError(
+            f"the solve reads the forcing on [{lo}, {hi}], but the forcing "
+            f"spans [{forcing.t0}, {forcing.t_end}]")
+
+
 def scalar_interp(forcing):
     """Linear interpolation of the forcing's first column at t.
 
     t is a scalar or an array (one time per stacked state); integrators
     call the closure once per field evaluation. Times past either end
-    extrapolate from the end cells.
+    extrapolate from the end cells without a warning, so the ODE and map
+    solves refuse, through :func:`check_forcing_reads`, any span that
+    reads past them. A scalar t gives a Python float, with the
+    arithmetic of the array path.
     """
     fv = np.ascontiguousarray(forcing.values[:, 0].real)
-    t0 = forcing.t0
-    dt = forcing.dt
+    item = fv.item
+    t0 = float(forcing.t0)
+    dt = float(forcing.dt)
     top = len(fv) - 2
 
     def at(t):
         pos = (t - t0) / dt
-        if isinstance(pos, float):   # one time: Python ints index fastest
+        if isinstance(pos, float):   # one time: Python ints and floats are fastest
             k = int(pos)
             k = 0 if k < 0 else top if k > top else k
-        else:
-            k = np.minimum(np.maximum(pos.astype(np.intp), 0), top)
+            fr = pos - k
+            return item(k) * (1.0 - fr) + item(k + 1) * fr
+        k = np.minimum(np.maximum(pos.astype(np.intp), 0), top)
         fr = pos - k
         return fv[k] * (1.0 - fr) + fv[k + 1] * fr
 

@@ -8,6 +8,18 @@ scipy 1.17.1's ``solve_ivp(method="RK45", dense_output=True)`` operation
 for operation, so its steps, ``nfev`` and dense values agree with scipy
 bit for bit, without importing ``scipy.integrate``.
 
+The per-step contract: every stage sum, the step's combination, the
+error estimate and the dense-output coefficients Q are each one
+``np.dot`` on the same array layouts as scipy's, and so is each step's
+dense-output product of Q with a C-contiguous (4, m) block of powers.
+``np.dot`` may round with a fused multiply-add, and its bits are the
+BLAS kernel's, which can change with the layout, so none of these dots
+is rewritten. The rest is the same IEEE operations in fewer calls: the
+times, step sizes, step bounds and error norm are Python floats; the
+field guard tests each field value with a Python sum before it calls
+``np.isfinite``; and the dense output forms x, its powers and h y + y_old
+for a block of steps at once.
+
 The one-sided dissipativity condition Re<x1-x2, f(t,x1)-f(t,x2)> <=
 -kappa |x1-x2|^alpha with alpha > 2 yields the algebraic contraction
 modulus
@@ -19,6 +31,7 @@ kappa-free form r (1 + (alpha-2) t r^(alpha-2))^(1/(2-alpha)); only the
 kappa-aware bound is valid for kappa < 1.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -120,10 +133,15 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5
 _EPS = np.finfo(float).eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+#: (stage, c_s, a_s): the rows of the tableau each stage sum reads
+_RK_STAGES = [(s, float(_RK_C[s]), _RK_A[s, :s]) for s in range(1, 6)]
+#: accepted steps whose dense output one block of :meth:`RK45Solution.sol` forms at once
+_DENSE_BLOCK = 256
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm(x) / sqrt(size): the norm is sqrt(x.dot(x)) for a real 1-D x
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 @dataclass
@@ -131,8 +149,8 @@ class RK45Solution:
     """Outcome of :func:`solve_ivp`: status 0 reached the end of the span,
     -1 stopped on a step below ten spacings of t (``message`` says so).
     ``t`` holds t0 and the end of every accepted step, as scipy's result
-    does, and ``steps`` one (t_old, t, y_old, Q) per accepted step for the
-    dense output."""
+    does, and ``steps`` one (y_old, Q) per accepted step for the dense
+    output: the state at the step's start and its (n, 4) coefficients."""
 
     status: int
     message: str
@@ -144,23 +162,35 @@ class RK45Solution:
         """Dense output at the 1-D times ``t``, shape (n, len(t)).
 
         Each t is read on the step whose span holds it (the earlier step
-        at a shared end, the first or last step outside the span), and
-        each step evaluates all its times in one ``np.dot``, as scipy's
-        ``OdeSolution`` does."""
+        at a shared end, the first or last step outside the span). Every
+        value is scipy's ``OdeSolution`` arithmetic: x = (t - t_old)/h, the
+        powers x, x^2, x^3, x^4 by running products, one ``np.dot`` of the
+        step's Q with its C-contiguous (4, m) power block, then h times
+        that plus y_old. All but the dot run on blocks of steps at once.
+        """
         t = np.asarray(t)
         order = np.argsort(t)
         t_sorted = t[order]
         seg = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1,
                       0, len(self.steps) - 1)
         cuts = np.concatenate(([0], np.flatnonzero(np.diff(seg)) + 1, [len(seg)]))
-        out = np.empty((len(self.steps[0][2]), len(t)))
-        for i, j in zip(cuts[:-1], cuts[1:]):
-            t_old, t_new, y_old, q = self.steps[seg[i]]
-            h = t_new - t_old
-            x = (t_sorted[i:j] - t_old) / h
-            y = h * np.dot(q, np.cumprod(np.tile(x, (q.shape[1], 1)), axis=0))
-            y += y_old[:, None]
-            out[:, order[i:j]] = y
+        t_old, h = self.t[:-1], np.diff(self.t)
+        y_old = np.array([y for y, _ in self.steps]).T
+        out = np.empty((y_old.shape[0], len(t)))
+        for b in range(0, len(cuts) - 1, _DENSE_BLOCK):
+            c = cuts[b:b + _DENSE_BLOCK + 1]
+            rows = slice(c[0], c[-1])
+            sb = seg[rows]
+            hb = h[sb]
+            x = (t_sorted[rows] - t_old[sb]) / hb
+            p = np.cumprod(np.broadcast_to(x, (4, len(x))), axis=0)
+            y = np.empty((len(out), len(x)))
+            for i, j in zip(c[:-1] - c[0], c[1:] - c[0]):
+                # a C-contiguous copy, as scipy's: BLAS may round a strided block otherwise
+                y[:, i:j] = np.dot(self.steps[sb[i]][1], p[:, i:j].copy())
+            y *= hb
+            y += y_old[:, sb]
+            out[:, order[rows]] = y
         return out
 
 
@@ -174,9 +204,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> RK45Solution:
     (the d0/d1/d2 rule), the same stage sums, the same step clipping and
     controller with no upper bound on the step, and rtol raised to 100 eps
     with a warning. So the steps, ``nfev`` and the dense values are
-    scipy's, bit for bit. ``fun`` takes
-    a float t and a float state of shape (n,) and returns shape (n,);
-    exceptions it raises propagate.
+    scipy's, bit for bit (the module docstring gives the per-step
+    contract). ``fun`` takes a float t and a float state of shape (n,)
+    and returns shape (n,); exceptions it raises propagate.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -187,14 +217,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> RK45Solution:
     if rtol < 100 * _EPS:
         warnings.warn(f"rtol is too small; using rtol = {100 * _EPS}", stacklevel=2)
         rtol = 100 * _EPS
-    nfev = 0
-
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
-    f = rhs(t, y)
+    f = np.asarray(fun(t, y), dtype=float)
 
     # starting step
     span = t_bound - t
@@ -202,17 +225,22 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> RK45Solution:
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, span)
+    nfev = 2
 
     ts, steps = [t], []
     k = np.empty((7, len(y)))
+    k[0] = f
+    stages = [(s, c, k[:s].T, a) for s, c, a in _RK_STAGES]
+    kt, kb = k.T, k[:-1].T
+    abs_y = np.abs(y)
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -220,14 +248,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> RK45Solution:
                 return RK45Solution(-1, TOO_SMALL_STEP, nfev, np.array(ts), steps)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            k[0] = f
-            for s in range(1, 6):
-                k[s] = rhs(t + _RK_C[s] * h, y + np.dot(k[:s].T, _RK_A[s, :s]) * h)
-            y_new = y + h * np.dot(k[:-1].T, _RK_B)
-            f_new = rhs(t + h, y_new)
-            k[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(k.T, _RK_E) * h / scale)
+            for s, c, ks, a in stages:
+                k[s] = fun(t + c * h, y + np.dot(ks, a) * h)
+            y_new = y + h * np.dot(kb, _RK_B)
+            k[6] = fun(t + h, y_new)
+            nfev += 6
+            abs_y_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
+            error_norm = _rms(np.dot(kt, _RK_E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -237,8 +265,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> RK45Solution:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        steps.append((t, t_new, y, k.T.dot(_RK_P)))
-        t, y, f = t_new, y_new, f_new
+        steps.append((y, kt.dot(_RK_P)))
+        k[0] = k[6]
+        t, y, abs_y = t_new, y_new, abs_y_new
         ts.append(t)
     return RK45Solution(0, "The solver successfully reached the end of the integration interval.",
                         nfev, np.array(ts), steps)
@@ -270,20 +299,30 @@ def _integrate_family(ivp: IVP, x0s, offsets):
     :func:`integrate`, bit for bit. ``ivp`` gives the field, the span, the
     tolerances and the output grid; its x0 is not read. Returns one
     SampledSignal per member on the output grid of ``ivp``.
+
+    The field reads its forcing at every t + offsets[k], t in the span, so
+    a forcing that does not cover them raises WindowOutOfDomainError
+    before the solve; a field value with a NaN or inf raises
+    NonFiniteRhsError.
     """
     f = ivp.rhs.build()
     x0s = np.asarray(x0s, dtype=float)
     k, d = x0s.shape
     offsets = np.asarray(offsets, dtype=float)
+    _catalog.check_forcing_reads(ivp.rhs.forcing, ivp.t_span.a + offsets.min(),
+                                 ivp.t_span.b + offsets.max())
     if np.all(offsets == offsets[0]):   # one shared time: the field gets a scalar t
         offsets = float(offsets[0])
 
     def guarded(t, y):
         # one member is one plain state, K members are a (K, d) stack
-        v = np.asarray(f(t + offsets, y if k == 1 else y.reshape(k, d)), dtype=float)
-        if not np.isfinite(v).all():
+        v = f(t + offsets, y if k == 1 else y.reshape(k, d))
+        if k > 1:
+            v = v.reshape(-1)
+        # any NaN or inf makes the sum non-finite; finite values may overflow it
+        if not math.isfinite(sum(v.tolist())) and not np.isfinite(v).all():
             raise NonFiniteRhsError(f"rhs non-finite at t={t}")
-        return v if k == 1 else v.reshape(-1)
+        return v
 
     sol = solve_ivp(
         guarded,

@@ -41,15 +41,18 @@ def _iterate_family(m: MapSpec, u0s, offsets, n_steps: int):
     """Orbits of u(t+1) = g(t + offsets[k], u(t)), u(0) = u0s[k], one per member.
 
     The K states are one (K, d) stack, so each step is one call of the map
-    (with a scalar time when all offsets agree). Iteration aborts when any
-    member leaves the finite range below OVERFLOW_LIMIT. The orbits' label
-    carries the map id.
+    (with a scalar time when all offsets agree). The map reads its forcing
+    at t + offsets[k] for t = 0, ..., n_steps - 1, so a forcing that does
+    not cover them raises WindowOutOfDomainError before the first step.
+    Iteration aborts when any member leaves the finite range below
+    OVERFLOW_LIMIT. The orbits' label carries the map id.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     g = m.build()
     u = np.asarray(u0s, dtype=float).reshape(len(u0s), -1)
     offsets = np.asarray(offsets, dtype=float)
+    _catalog.check_forcing_reads(m.forcing, offsets.min(), n_steps - 1 + offsets.max())
     if np.all(offsets == offsets[0]):   # one shared time: the map gets a scalar t
         offsets = float(offsets[0])
     out = np.empty((n_steps + 1,) + u.shape)

@@ -408,6 +408,19 @@ def test_coupled_ode_key_exits_two_from_validate_and_run(blocks, key, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("span, reads", [(300.0, "[0.0, 300.0]"), (100.0, "[0.0, 190.0]")],
+                         ids=["main_span", "fiber_shift_plus_horizon"])
+def test_ode_reading_past_its_forcing_exits_two_naming_the_span(span, reads, tmp_path, capsys):
+    # scalar_interp would extrapolate the forcing's end cells into a ramp
+    fiber = {"shifts": [0.0, 90.0], "x0_set": [[0.0]], "horizon": 100.0, "burn_in": 60.0,
+             "cluster_tol": 0.05}
+    cfg = {**small_ode_cfg(fiber=fiber), "span": span,
+           "forcing": {"forcing": "rap_sin_log", "t0": 0.0, "t1": 100.0, "dt": 0.01}}
+    assert main(["run", str(write_cfg(tmp_path, cfg)), "--output-root", str(tmp_path)]) == 2
+    assert f"reads the forcing on {reads}, but the forcing spans [0.0, 100.0]" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("blocks", [
     {"stability": {**STABILITY, "kappa": 0.5, "alpha": 3.0}},
     {"stability": STABILITY},

@@ -8,6 +8,7 @@ from recurlab.errors import (
     NonFiniteRhsError,
     RecurlabError,
     StepSizeUnderflowError,
+    WindowOutOfDomainError,
 )
 from recurlab.flows import (
     IVP,
@@ -65,6 +66,31 @@ def test_integrate_deterministic(sin_forcing):
     assert np.array_equal(a.values, b.values)
 
 
+#: solves on the forcing sin on [0, 80]: (run, whether it reads past t = 80)
+FORCING_READS = {
+    "main_span": (lambda f: integrate(IVP(RhsSpec("catalog:heq1", forcing=f), (0.0,),
+                                          Window(0, 81))), True),
+    "hull_shift_plus_horizon": (lambda f: hull_solutions(
+        RhsSpec("catalog:heq1", forcing=f), [0.0, 50.0], [(0.0,)], 31.0), True),
+    "hull_to_the_end": (lambda f: hull_solutions(
+        RhsSpec("catalog:heq1", forcing=f), [0.0, 50.0], [(0.0,)], 30.0), False),
+    "stability_restart_plus_horizon": (lambda f: uniform_stability_probe(
+        RhsSpec("catalog:heq1", forcing=f),
+        integrate(IVP(RhsSpec("catalog:heq1", forcing=f), (0.0,), Window(0, 60), out_dt=0.1)),
+        [0.1], [0.5], [0.0, 50.0], 31.0), True),
+}
+
+
+@pytest.mark.parametrize("case", list(FORCING_READS))
+def test_solves_refuse_to_read_the_forcing_past_its_span(case, sin_forcing):
+    run, past = FORCING_READS[case]
+    if past:
+        with pytest.raises(WindowOutOfDomainError, match=r"spans \[0.0, 80.0\]"):
+            run(sin_forcing)
+    else:
+        run(sin_forcing)
+
+
 # ---------------------------------------------------------------------------
 # the in-house RK45 against scipy's
 # ---------------------------------------------------------------------------
@@ -117,6 +143,16 @@ RK45_CASES = {
                                        (1.0,), Window(0, 2))),
     "non_finite": lambda f: integrate(IVP(
         RhsSpec("expr", expr=(["ln", ["-", ["const", 1.0], ["t"]]],)), (0.5,), Window(0, 2))),
+    # the member shifted by 0.5 reads ln of a negative number first
+    "non_finite_k2": lambda f: hull_solutions(
+        RhsSpec("expr", expr=(["ln", ["-", ["const", 1.0], ["t"]]],)), [0.0, 0.5], [(0.5,)],
+        2.0),
+    # 20,001 dense samples over 2,000 steps: handing np.dot each step's power
+    # block as a strided slice instead of a C-contiguous copy changes one of
+    # them here (t = 72.58) by 6.9e-18
+    "dense_long": lambda f: [integrate(IVP(
+        RhsSpec("catalog:heq1", forcing=build_forcing("heq1_forcing", 0.0, 400.0, 0.01)),
+        (0.0,), Window(0, 400), 1e-6, 1e-9, out_dt=0.02))],
 }
 
 
@@ -132,7 +168,7 @@ def test_solve_ivp_is_scipy_rk45_bit_for_bit(case, monkeypatch, sin_forcing):
     if case == "blow_up":
         assert isinstance(ours, StepSizeUnderflowError) and type(theirs) is type(ours)
         assert str(ours) == str(theirs) == flows.TOO_SMALL_STEP
-    elif case == "non_finite":
+    elif case.startswith("non_finite"):
         # the message names the time of the first non-finite value
         assert isinstance(ours, NonFiniteRhsError) and type(theirs) is type(ours)
         assert str(ours) == str(theirs) and str(ours) != "rhs non-finite at t=0.0"
@@ -143,6 +179,21 @@ def test_solve_ivp_is_scipy_rk45_bit_for_bit(case, monkeypatch, sin_forcing):
         if case == "rejected_steps":
             # two calls to start, six per attempted step
             assert (nfev - 2) // 6 > len(ends) - 1
+
+
+def test_field_guard_passes_finite_members_whose_sum_overflows(monkeypatch):
+    # two members near 1e308: each field value is finite, their sum is inf
+    first_values = []
+
+    def first_call_only(fun, t_span, y0, rtol, atol):
+        first_values.append(fun(t_span[0], y0))
+        return solve_ivp(lambda t, y: -y, t_span, np.zeros_like(y0), rtol, atol)
+
+    solve_ivp = flows.solve_ivp
+    monkeypatch.setattr(flows, "solve_ivp", first_call_only)
+    hull_solutions(RhsSpec("catalog:linear_decay"), [0.0], [(-1e308,), (-1.5e308,)], 1.0)
+    values = first_values[0].tolist()
+    assert values == [1e308, 1.5e308] and sum(values) == float("inf")
 
 
 def test_solve_ivp_raises_a_tiny_rtol_with_a_warning():

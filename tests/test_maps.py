@@ -3,7 +3,7 @@ import pytest
 
 from recurlab import maps
 from recurlab.catalog import build_forcing
-from recurlab.errors import EmptyDomainError, NonFiniteValueError
+from recurlab.errors import EmptyDomainError, NonFiniteValueError, WindowOutOfDomainError
 from recurlab.flows import IVP, RhsSpec, hull_solutions, integrate
 from recurlab.maps import MapSpec, asymptotic_period, discrete_fiber_count, iterate
 from recurlab.recurrence import TauSpec, translation_set_remote
@@ -167,6 +167,18 @@ def test_discrete_fiber_count_refuses_shifts_outside_the_forcing():
         discrete_fiber_count(m, [-1], [np.array([0.0])], n_steps=10, burn_in=5, cluster_tol=0.1)
     with pytest.raises(EmptyDomainError):
         discrete_fiber_count(m, [31], [np.array([0.0])], n_steps=10, burn_in=5, cluster_tol=0.1)
+
+
+def test_iteration_refuses_to_read_the_forcing_past_its_span():
+    # the map reads its forcing at t + h for t = 0, ..., n_steps - 1
+    m = MapSpec("catalog:affine", forcing=build_forcing("alternating", 0.0, 30.0, 1.0))
+    assert len(iterate(m, [0.0], 31)) == 32
+    with pytest.raises(WindowOutOfDomainError, match=r"\[0.0, 31.0\]"):
+        iterate(m, [0.0], 32)
+    discrete_fiber_count(m, [0, 10], [np.array([0.0])], n_steps=21, burn_in=5, cluster_tol=0.1)
+    with pytest.raises(WindowOutOfDomainError, match=r"\[0.0, 31.0\]"):
+        discrete_fiber_count(m, [0, 10], [np.array([0.0])], n_steps=22, burn_in=5,
+                             cluster_tol=0.1)
 
 
 def test_negative_shift_is_refused_without_a_forcing():
