@@ -6,6 +6,8 @@ files a small composable language over {+, -, *, sin, cos, ln, exp, abs,
 pow, norm} for custom systems.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, WindowOutOfDomainError
@@ -180,6 +182,13 @@ def scalar_interp(forcing):
     return at
 
 
+# Each rhs has two forms. The "builder" form takes one state of shape (d,)
+# or a (K, d) stack (see build_field). The "one" form takes one component
+# as a Python float and returns a Python float. It does the same IEEE 754
+# operations in the same order: a sum over one element is that element,
+# and math.sqrt and np.sqrt are both correctly rounded. So on a (1,) state
+# both forms give the same bits, and the "one" form skips the numpy calls.
+
 def _rhs_heq1(params, forcing):
     fa = scalar_interp(forcing) if forcing is not None else None
 
@@ -189,6 +198,13 @@ def _rhs_heq1(params, forcing):
             out.T[0] += fa(t)   # first component of every state
         return out
     return f
+
+
+def _one_heq1(params, forcing):
+    fa = scalar_interp(forcing) if forcing is not None else None
+    if fa is None:
+        return lambda t, x: -math.sqrt(x * x) * x
+    return lambda t, x: -math.sqrt(x * x) * x + fa(t)
 
 
 def _rhs_linear_decay(params, forcing):
@@ -203,10 +219,22 @@ def _rhs_linear_decay(params, forcing):
     return f
 
 
+def _one_linear_decay(params, forcing):
+    rate = params.get("rate", 1.0)
+    fa = scalar_interp(forcing) if forcing is not None else None
+    if fa is None:
+        return lambda t, x: -rate * x
+    return lambda t, x: -rate * x + fa(t)
+
+
 def _rhs_zero(params, forcing):
     def f(t, x):
         return np.zeros_like(x)
     return f
+
+
+def _one_zero(params, forcing):
+    return lambda t, x: 0.0
 
 
 def _rhs_norm_decay(params, forcing):
@@ -216,11 +244,17 @@ def _rhs_norm_decay(params, forcing):
     return f
 
 
+def _one_norm_decay(params, forcing):
+    return _one_heq1(params, None)
+
+
 RHS_CATALOG = {
-    "heq1": {"builder": _rhs_heq1, "doc": "x' = -|x| x + forcing (first component)"},
-    "norm_decay": {"builder": _rhs_norm_decay, "doc": "x' = -|x| x"},
-    "linear_decay": {"builder": _rhs_linear_decay, "doc": "x' = -rate x + forcing"},
-    "zero": {"builder": _rhs_zero, "doc": "x' = 0"},
+    "heq1": {"builder": _rhs_heq1, "one": _one_heq1,
+             "doc": "x' = -|x| x + forcing (first component)"},
+    "norm_decay": {"builder": _rhs_norm_decay, "one": _one_norm_decay, "doc": "x' = -|x| x"},
+    "linear_decay": {"builder": _rhs_linear_decay, "one": _one_linear_decay,
+                     "doc": "x' = -rate x + forcing"},
+    "zero": {"builder": _rhs_zero, "one": _one_zero, "doc": "x' = 0"},
 }
 
 

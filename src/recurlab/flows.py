@@ -18,7 +18,13 @@ is rewritten. The rest is the same IEEE operations in fewer calls: the
 times, step sizes, step bounds and error norm are Python floats; the
 field guard tests each field value with a Python sum before it calls
 ``np.isfinite``; and the dense output forms x, its powers and h y + y_old
-for a block of steps at once.
+for a block of steps at once. A solve of one member with one component
+(K d = 1) of a catalog field calls the field's one-component form, which
+takes and returns Python floats, and its guard is one ``math.isfinite``.
+That keeps every bit: the field holds no ``np.dot``, a sum over one
+element is that element, and Python's float operations, ``math.sqrt``
+among them, are the same correctly rounded IEEE 754 operations as
+numpy's.
 
 The one-sided dissipativity condition Re<x1-x2, f(t,x1)-f(t,x2)> <=
 -kappa |x1-x2|^alpha with alpha > 2 yields the algebraic contraction
@@ -206,7 +212,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> RK45Solution:
     with a warning. So the steps, ``nfev`` and the dense values are
     scipy's, bit for bit (the module docstring gives the per-step
     contract). ``fun`` takes a float t and a float state of shape (n,)
-    and returns shape (n,); exceptions it raises propagate.
+    and returns shape (n,), or a float when n = 1; exceptions it raises
+    propagate.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -303,26 +310,40 @@ def _integrate_family(ivp: IVP, x0s, offsets):
     The field reads its forcing at every t + offsets[k], t in the span, so
     a forcing that does not cover them raises WindowOutOfDomainError
     before the solve; a field value with a NaN or inf raises
-    NonFiniteRhsError.
+    NonFiniteRhsError. One member with one component (K d = 1) of a
+    catalog field runs the field's one-component form on Python floats,
+    with the numpy form's bits (module docstring); stacks, d > 1 states
+    and ``expr`` fields run the numpy form.
     """
-    f = ivp.rhs.build()
+    rhs = ivp.rhs
+    f = rhs.build()   # refuses an unknown catalog id
     x0s = np.asarray(x0s, dtype=float)
     k, d = x0s.shape
     offsets = np.asarray(offsets, dtype=float)
-    _catalog.check_forcing_reads(ivp.rhs.forcing, ivp.t_span.a + offsets.min(),
+    _catalog.check_forcing_reads(rhs.forcing, ivp.t_span.a + offsets.min(),
                                  ivp.t_span.b + offsets.max())
     if np.all(offsets == offsets[0]):   # one shared time: the field gets a scalar t
         offsets = float(offsets[0])
 
-    def guarded(t, y):
-        # one member is one plain state, K members are a (K, d) stack
-        v = f(t + offsets, y if k == 1 else y.reshape(k, d))
-        if k > 1:
-            v = v.reshape(-1)
-        # any NaN or inf makes the sum non-finite; finite values may overflow it
-        if not math.isfinite(sum(v.tolist())) and not np.isfinite(v).all():
-            raise NonFiniteRhsError(f"rhs non-finite at t={t}")
-        return v
+    if k * d == 1 and rhs.kind != "expr":
+        # one component of a catalog field: its Python-float form, the same bits
+        f = _catalog.RHS_CATALOG[rhs.kind.split(":", 1)[1]]["one"](rhs.params, rhs.forcing)
+
+        def guarded(t, y):
+            v = f(t + offsets, y.item())
+            if not math.isfinite(v):
+                raise NonFiniteRhsError(f"rhs non-finite at t={t}")
+            return v
+    else:
+        def guarded(t, y):
+            # one member is one plain state, K members are a (K, d) stack
+            v = f(t + offsets, y if k == 1 else y.reshape(k, d))
+            if k > 1:
+                v = v.reshape(-1)
+            # any NaN or inf makes the sum non-finite; finite values may overflow it
+            if not math.isfinite(sum(v.tolist())) and not np.isfinite(v).all():
+                raise NonFiniteRhsError(f"rhs non-finite at t={t}")
+            return v
 
     sol = solve_ivp(
         guarded,

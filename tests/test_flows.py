@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from recurlab import flows
-from recurlab.catalog import build_forcing
+from recurlab.catalog import RHS_CATALOG, build_forcing
 from recurlab.errors import (
     BadOrderError,
     NonFiniteRhsError,
@@ -64,6 +66,49 @@ def test_integrate_deterministic(sin_forcing):
     a = integrate(IVP(rhs, (0.3,), Window(0, 20), out_dt=0.01))
     b = integrate(IVP(rhs, (0.3,), Window(0, 20), out_dt=0.01))
     assert np.array_equal(a.values, b.values)
+
+
+#: one-component states at the edges of the double range: signed zeros,
+#: subnormals, squares that underflow or overflow, infinities and NaN
+ONE_COMPONENT_STATES = [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e-200, 1.3e154, -1.4e154, 1e300,
+                        math.inf, -math.inf, math.nan]
+#: every catalog rhs with its default params, and linear_decay with an int
+#: rate (as YAML gives `rate: 2`) and a float one
+ONE_COMPONENT_RHS = ([(rid, {}) for rid in RHS_CATALOG]
+                     + [("linear_decay", {"rate": 2}), ("linear_decay", {"rate": 0.7})])
+
+
+def _same_bits(a, b):
+    # a NaN counts equal to any NaN; otherwise every bit, the sign of zero too
+    a, b = np.float64(a), np.float64(b)
+    return bool(np.isnan(a) and np.isnan(b)) or a.view(np.int64) == b.view(np.int64)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("rid, params", ONE_COMPONENT_RHS, ids=[
+    rid + "".join(f"_{key}={v!r}" for key, v in params.items())
+    for rid, params in ONE_COMPONENT_RHS])
+def test_one_component_form_is_the_numpy_form_bit_for_bit(rid, params, forced):
+    forcing = build_forcing("heq1_forcing", 0.0, 10.0, 0.01) if forced else None
+    f = RHS_CATALOG[rid]["builder"](params, forcing)
+    one = RHS_CATALOG[rid]["one"](params, forcing)
+    # the first sample; a grid point, which t/dt = 776.99... puts a hair
+    # below its node; a mid-cell time; a time 0.31 into its cell; the last
+    # sample. At 7.77 and 2.5031 the blend a + fr (b - a) rounds differently
+    # from scalar_interp's
+    times = [0.0, 7.77, 0.375, 2.5031, 10.0] if forced else [0.0, 1.0]
+    for t in times:
+        for x in ONE_COMPONENT_STATES:
+            got = one(t, x)
+            assert type(got) is float
+            with np.errstate(over="ignore"):
+                # one (1,) state at a scalar t, and a (1, 1) stack at one time
+                # per state, which reads the forcing's array branch
+                plain = f(t, np.array([x]))
+                stacked = f(np.array([t]), np.array([[x]]))
+            assert plain.shape == (1,) and stacked.shape == (1, 1)
+            assert _same_bits(got, plain[0]), (t, x, got, plain[0])
+            assert _same_bits(got, stacked[0, 0]), (t, x, got, stacked[0, 0])
 
 
 #: solves on the forcing sin on [0, 80]: (run, whether it reads past t = 80)
@@ -147,6 +192,9 @@ RK45_CASES = {
     "non_finite_k2": lambda f: hull_solutions(
         RhsSpec("expr", expr=(["ln", ["-", ["const", 1.0], ["t"]]],)), [0.0, 0.5], [(0.5,)],
         2.0),
+    # heq1 on a forcing with one NaN sample, which its one-component form reads
+    "non_finite_forcing": lambda f: integrate(IVP(
+        RhsSpec("catalog:heq1", forcing=_forcing_with_a_nan(1.0)), (0.3,), Window(0, 2))),
     # 20,001 dense samples over 2,000 steps: handing np.dot each step's power
     # block as a strided slice instead of a C-contiguous copy changes one of
     # them here (t = 72.58) by 6.9e-18
@@ -179,6 +227,80 @@ def test_solve_ivp_is_scipy_rk45_bit_for_bit(case, monkeypatch, sin_forcing):
         if case == "rejected_steps":
             # two calls to start, six per attempted step
             assert (nfev - 2) // 6 > len(ends) - 1
+
+
+def _forcing_with_a_nan(t_nan):
+    # SampledSignal refuses NaN samples, so plant one after construction; the
+    # field reads it at every t within one grid step (0.1) of t_nan
+    forcing = build_forcing("sin", 0.0, 80.0, 0.1)
+    values = forcing.values.copy()
+    values[forcing._index_of(t_nan), 0] = np.nan
+    object.__setattr__(forcing, "values", values)
+    return forcing
+
+
+#: single-state solves of catalog fields, which run their one-component form
+NUMPY_FIELD_SOLVES = {
+    "heq1_flagship": lambda: IVP(
+        RhsSpec("catalog:heq1", forcing=build_forcing("heq1_forcing", 0.0, 400.0, 0.01)),
+        (0.0,), Window(0, 400), 1e-6, 1e-9, out_dt=0.02),
+    "linear_decay_sin": lambda: IVP(
+        RhsSpec("catalog:linear_decay", {"rate": 2},
+                forcing=build_forcing("sin", 0.0, 80.0, 0.002)),
+        (1.0,), Window(0, 80), out_dt=0.01),
+    "heq1_nan_forcing": lambda: IVP(
+        RhsSpec("catalog:heq1", forcing=_forcing_with_a_nan(10.0)), (0.3,), Window(0, 40)),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMPY_FIELD_SOLVES))
+def test_integrate_is_the_numpy_field_solve(case, monkeypatch):
+    # integrate's solve against solve_ivp on the numpy form of the field:
+    # the same step ends, nfev, dense coefficients and dense values, or the
+    # same NonFiniteRhsError
+    ivp = NUMPY_FIELD_SOLVES[case]()
+    f = ivp.rhs.build()
+
+    def numpy_field(t, y):
+        v = f(t, y)
+        if not np.isfinite(v).all():
+            raise NonFiniteRhsError(f"rhs non-finite at t={t}")
+        return v
+
+    solve_ivp = flows.solve_ivp
+    ours = []
+
+    def recording(*args, **kwargs):
+        ours.append(solve_ivp(*args, **kwargs))
+        return ours[-1]
+
+    monkeypatch.setattr(flows, "solve_ivp", recording)
+    span = (ivp.t_span.a, ivp.t_span.b)
+    if case == "heq1_nan_forcing":
+        with pytest.raises(NonFiniteRhsError) as theirs:
+            solve_ivp(numpy_field, span, np.array(ivp.x0), ivp.rel_tol, ivp.abs_tol)
+        with pytest.raises(NonFiniteRhsError) as got:
+            integrate(ivp)
+        assert str(got.value) == str(theirs.value)
+        assert abs(float(str(got.value).split("t=")[1]) - 10.0) < 0.1
+        return
+    sol = integrate(ivp)
+    theirs = solve_ivp(numpy_field, span, np.array(ivp.x0), ivp.rel_tol, ivp.abs_tol)
+    (ours,) = ours
+    assert ours.status == theirs.status == 0 and ours.nfev == theirs.nfev
+    assert ours.t.tobytes() == theirs.t.tobytes()
+    assert len(ours.steps) == len(theirs.steps)
+    assert all(y.tobytes() == yt.tobytes() and q.tobytes() == qt.tobytes()
+               for (y, q), (yt, qt) in zip(ours.steps, theirs.steps))
+    ts = np.minimum(sol.times(), ivp.t_span.b)
+    assert sol.values.tobytes() == theirs.sol(ts).T.tobytes()
+
+
+def test_a_single_state_whose_square_overflows_is_non_finite():
+    # x * x overflows at x0 = 1e155: the field value is -inf at the first
+    # call, and the solve ends in NonFiniteRhsError with no RuntimeWarning
+    with pytest.raises(NonFiniteRhsError, match=r"t=0\.0$"):
+        integrate(IVP(RhsSpec("catalog:heq1"), (1e155,), Window(0, 1)))
 
 
 def test_field_guard_passes_finite_members_whose_sum_overflows(monkeypatch):
