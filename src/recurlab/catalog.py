@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, WindowOutOfDomainError
-from .signal import GRID_RTOL, SampledSignal
+from .signal import GRID_RTOL, SampledSignal, blend
 
 ROOT2 = np.sqrt(2.0)
 
@@ -22,12 +22,13 @@ MAX_EXPR_DEPTH = 32
 # expression trees
 # ---------------------------------------------------------------------------
 
-def eval_expr(node, t, x, params=None, forcing_value=None, _depth=0):
+def eval_expr(node, t, x, params=None, forcing=None, _depth=0):
     """Evaluate a nested-list expression at time t and state x.
 
     x is one state of shape (d,) or K stacked states of shape (K, d); t is
     a scalar or one time per state. Components are read along the last
-    axis, so a node gives a scalar or a (K,) array.
+    axis, so a node gives a scalar or a (K,) array. ``forcing`` holds one
+    :func:`scalar_interp` reader per forcing column.
 
     Nodes: ["t"], ["x"], ["x", i], ["const", c], ["param", name],
     ["forcing"], ["forcing", i], ["norm"], unary ["neg"|"sin"|"cos"|"ln"|
@@ -38,7 +39,7 @@ def eval_expr(node, t, x, params=None, forcing_value=None, _depth=0):
     if not isinstance(node, (list, tuple)) or not node:
         raise ConfigError(f"malformed expression node: {node!r}", key="expr")
     op, *args = node
-    ev = lambda a: eval_expr(a, t, x, params, forcing_value, _depth + 1)
+    ev = lambda a: eval_expr(a, t, x, params, forcing, _depth + 1)
     if op == "t":
         return t
     if op == "x":
@@ -52,9 +53,11 @@ def eval_expr(node, t, x, params=None, forcing_value=None, _depth=0):
             raise ConfigError(f"unknown parameter {args[0]!r}", key="params")
         return float(params[args[0]])
     if op == "forcing":
-        if forcing_value is None:
-            raise ConfigError("expression uses forcing but none was supplied", key="forcing")
-        return forcing_value[..., int(args[0]) if args else 0]
+        i = int(args[0]) if args else 0
+        if forcing is None or not -len(forcing) <= i < len(forcing):
+            raise ConfigError(f"expression reads forcing column {i}, but the forcing has "
+                              f"{len(forcing or ())} columns", key="forcing")
+        return forcing[i](t)
     if op == "norm":
         return np.sqrt(np.sum(np.abs(x) ** 2, axis=-1))
     if op == "neg":
@@ -80,10 +83,10 @@ def build_field(kind, table, key, params, expr, forcing):
 
     Every field acts on one state x of shape (d,) or on K stacked states of
     shape (K, d), with t a scalar or one time per state, and returns an
-    array of x's shape. An "expr" field evaluates one expression tree per
-    component, reading ["forcing"] nodes by linear interpolation of the
-    forcing signal. Errors name the config key (``rhs`` or ``map``) the
-    kind came from.
+    array of x's shape. Catalog fields and an "expr" field's ["forcing"]
+    nodes (one tree per component) read the forcing by :func:`scalar_interp`;
+    their solve checks the reads first (:func:`check_forcing_reads`).
+    Errors name the config key (``rhs`` or ``map``) the kind came from.
     """
     if kind.startswith("catalog:"):
         cid = kind.split(":", 1)[1]
@@ -91,11 +94,12 @@ def build_field(kind, table, key, params, expr, forcing):
             raise ConfigError(f"unknown {key} id {cid!r}", key=key)
         return table[cid]["builder"](params, forcing)
     if kind == "expr":
+        reads = None if forcing is None else [scalar_interp(forcing, i) for i in range(forcing.dim)]
+
         def f(t, x):
-            fv = forcing.value_at(t) if forcing is not None else None
             out = np.empty(np.shape(x)[:-1] + (len(expr),))
             for i, tree in enumerate(expr):
-                out[..., i] = eval_expr(tree, t, x, params, fv)
+                out[..., i] = eval_expr(tree, t, x, params, reads)
             return out
 
         return f
@@ -140,29 +144,26 @@ def build_forcing(fid: str, t0: float, t1: float, dt: float, params=None) -> Sam
 
 def check_forcing_reads(forcing, lo, hi):
     """Raise WindowOutOfDomainError unless a forcing's span holds [lo, hi]
-    (to GRID_RTOL grid steps, as ``SampledSignal.value_at``); no forcing
-    passes. Fields built on :func:`scalar_interp` do not check their
-    reads, so each ODE and map solve checks all of them here, once."""
+    (to GRID_RTOL grid steps); no forcing passes. :func:`scalar_interp`
+    does not check its reads, so every ode, map and dde solve and the
+    Condition (H) probe check all of them here, once, before the first."""
     if forcing is None:
         return
     if ((lo - forcing.t0) / forcing.dt < -GRID_RTOL
             or (hi - forcing.t0) / forcing.dt > len(forcing) - 1 + GRID_RTOL):
         raise WindowOutOfDomainError(
-            f"the solve reads the forcing on [{lo}, {hi}], but the forcing "
+            f"this run reads the forcing on [{lo}, {hi}], but the forcing "
             f"spans [{forcing.t0}, {forcing.t_end}]")
 
 
-def scalar_interp(forcing):
-    """Linear interpolation of the forcing's first column at t.
-
-    t is a scalar or an array (one time per stacked state); integrators
-    call the closure once per field evaluation. Times past either end
-    extrapolate from the end cells without a warning, so the ODE and map
-    solves refuse, through :func:`check_forcing_reads`, any span that
-    reads past them. A scalar t gives a Python float, with the
-    arithmetic of the array path.
-    """
-    fv = np.ascontiguousarray(forcing.values[:, 0].real)
+def scalar_interp(forcing, column=0):
+    """Linear interpolation of the real part of the forcing's ``column`` at
+    t, a scalar (giving a Python float) or an array (one time per stacked
+    state or per step; :func:`signal.blend`, with the same arithmetic):
+    the one reader of a forcing's values. Times past either end
+    extrapolate from the end cells without a warning, so each caller
+    first checks its reads with :func:`check_forcing_reads`."""
+    fv = np.ascontiguousarray(forcing.values[:, column].real)
     item = fv.item
     t0 = float(forcing.t0)
     dt = float(forcing.dt)
@@ -175,9 +176,7 @@ def scalar_interp(forcing):
             k = 0 if k < 0 else top if k > top else k
             fr = pos - k
             return item(k) * (1.0 - fr) + item(k + 1) * fr
-        k = np.minimum(np.maximum(pos.astype(np.intp), 0), top)
-        fr = pos - k
-        return fv[k] * (1.0 - fr) + fv[k + 1] * fr
+        return blend(fv, pos)
 
     return at
 

@@ -196,6 +196,14 @@ def _check_dde_weights(cfg):
                           f"{cfg['lags']!r}", key="weights")
 
 
+def _checked(key, build, *args, **kwargs):
+    """build(*args, **kwargs); a ValueError it raises is a ConfigError naming ``key``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=key) from exc
+
+
 def _given(spec, **convert):
     """{key: convert[key](spec[key])} for the keys of ``convert`` that spec
     sets; a key it leaves out takes the default of the call it is passed to."""
@@ -211,7 +219,8 @@ def _build_tau(tau, **defaults):
 
 def _build_thresholds(spec):
     cands = _build_tau(spec.get("tau", {}), lo=np.pi / 2, hi=400.0, step=np.pi / 2)
-    return Thresholds(tuple(float(e) for e in spec["epsilon_grid"]), cands)
+    return _checked("epsilon_grid", Thresholds, tuple(float(e) for e in spec["epsilon_grid"]),
+                    cands)
 
 
 def _classify_after_burn_in(sol, sub):
@@ -279,8 +288,8 @@ def _run_ode(cfg, outdir):
     x0 = tuple(np.atleast_1d(cfg["x0"]).astype(float))
     # rel_tol, abs_tol of the main solve, the hull family and the stability probe
     tol = {f"{key}_tol": float(v) for key, v in cfg.get("tolerances", {}).items()}
-    sol = integrate(IVP(rhs, x0, Window(0.0, float(cfg["span"])), **tol,
-                        **_given(cfg, out_dt=float)))
+    span = _checked("span", Window, 0.0, float(cfg["span"]))
+    sol = integrate(_checked("tolerances", IVP, rhs, x0, span, **tol, **_given(cfg, out_dt=float)))
     artifacts = write_signal(sol, outdir / "solution.npy")
     report = {"n_samples": len(sol), "dt": sol.dt,
               "final_state": [float(v) for v in sol.values[-1].real]}
@@ -290,33 +299,33 @@ def _run_ode(cfg, outdir):
     cond_h = None
     if "condition_h" in cfg:
         hc = cfg["condition_h"]
-        cond_h = ConditionHParams(kappa=float(hc["kappa"]), alpha=float(hc["alpha"]),
-                                  sample_box=(tuple(np.atleast_1d(hc["box_lo"]).astype(float)),
-                                              tuple(np.atleast_1d(hc["box_hi"]).astype(float))),
-                                  **_given(hc, n_pairs=int))
-        report["condition_h_margin"] = condition_h_margin(rhs, cond_h, hc.get("t_samples", [0.0]),
-                                                          seed=int(cfg.get("seed", 0)))
+        cond_h = _checked("condition_h", ConditionHParams, float(hc["kappa"]), float(hc["alpha"]),
+                          (tuple(np.atleast_1d(hc["box_lo"]).astype(float)),
+                           tuple(np.atleast_1d(hc["box_hi"]).astype(float))),
+                          **_given(hc, n_pairs=int))
+        report["condition_h_margin"] = _checked("condition_h", condition_h_margin, rhs, cond_h,
+                                                hc.get("t_samples", [0.0]),
+                                                seed=int(cfg.get("seed", 0)))
     if "fiber" in cfg:
         from .flows import default_burn_in
 
         fb = cfg["fiber"]
-        runs = hull_solutions(rhs, [float(h) for h in fb["shifts"]],
-                              [tuple(np.atleast_1d(x).astype(float)) for x in fb["x0_set"]],
-                              float(fb["horizon"]), **tol, out_dt=float(fb.get("out_dt", 0.05)))
+        runs = _checked("fiber", hull_solutions, rhs, [float(h) for h in fb["shifts"]],
+                        [tuple(np.atleast_1d(x).astype(float)) for x in fb["x0_set"]],
+                        float(fb["horizon"]), **tol, out_dt=float(fb.get("out_dt", 0.05)))
         cluster_tol = float(fb["cluster_tol"])
         # without burn_in, Condition (H) gives the attraction time from the box diameter
         burn = float(fb["burn_in"]) if "burn_in" in fb else default_burn_in(cond_h, cluster_tol)
-        fr = fiber_count(runs, burn, cluster_tol)
+        fr = _checked("fiber", fiber_count, runs, burn, cluster_tol)
         report.setdefault("flows", {})["fiber"] = fr.to_dict()
     if "stability" in cfg:
         st = cfg["stability"]
-        ref = sol
         h_params = None
         if "kappa" in st:
-            h_params = ConditionHParams(float(st["kappa"]), float(st["alpha"]),
-                                        ((-1.0,), (1.0,)), 1000)
-        probe = uniform_stability_probe(
-            rhs, ref, [float(d) for d in st["delta_grid"]],
+            h_params = _checked("stability", ConditionHParams, float(st["kappa"]),
+                                float(st["alpha"]), ((-1.0,), (1.0,)), 1000)
+        probe = _checked(
+            "stability", uniform_stability_probe, rhs, sol, [float(d) for d in st["delta_grid"]],
             [float(e) for e in st["eps_grid"]],
             [float(t) for t in st["restart_times"]], float(st["horizon"]), **tol,
             h_params=h_params)

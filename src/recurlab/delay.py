@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import check_forcing_reads, scalar_interp
 from .errors import ConfigError, LagOutOfRangeError, NonFiniteValueError
-from .signal import SampledSignal
+from .signal import SampledSignal, blend
 
 
 @dataclass(frozen=True)
@@ -91,17 +92,19 @@ def integrate_dde(rhs: DelayRhsSpec, init: HistorySegment, horizon: float,
     """Method of steps with fixed-step RK4 on a grid dividing r exactly
     (Bellen & Zennaro, Numerical Methods for Delay Differential Equations, 2003).
 
-    Lags are snapped to the nearest grid node, so every nonzero lag is at
-    least one step m >= 1. The steps run in chunks of the shortest nonzero
-    lag (the whole horizon when every lag is zero): inside a chunk every
-    lag term reads history that is already known, at the nodes and, by
-    cubic Hermite interpolation, at the half steps. A cell inside the
-    initial history takes ``np.gradient`` derivatives; the cell starting at
-    t = 0 takes the right derivative there. The zero-lag weight a then
+    History samples off the grid -r + i h are blended onto it. Lags are
+    snapped to the nearest grid node, so every nonzero lag is at least one
+    step m >= 1. The steps run in chunks of the shortest nonzero lag (the
+    whole horizon when every lag is zero): inside a chunk every lag term
+    reads history that is already known, at the nodes and, by cubic
+    Hermite interpolation, at the half steps. A cell inside the initial
+    history takes ``np.gradient`` derivatives; the cell starting at t = 0
+    takes the right derivative there. The zero-lag weight a then
     makes each RK4 step affine, u[n+1] = R(a h) u[n] + c[n] with
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and a chunk's recurrence is
     solved by a doubling prefix scan (Hillis & Steele, CACM 1986). The
-    result matches a step-by-step RK4 up to rounding. NonFiniteValueError
+    result matches a step-by-step RK4 up to rounding. A forcing that does
+    not cover the steps raises WindowOutOfDomainError. NonFiniteValueError
     is raised when a stage state exceeds 1e12 or a stage derivative is not
     finite, checked chunk by chunk.
     """
@@ -121,27 +124,26 @@ def integrate_dde(rhs: DelayRhsSpec, init: HistorySegment, horizon: float,
     chunk = min((m for _, m in lagged), default=n_steps)
     z = a * h
     R = 1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24
+    check_forcing_reads(rhs.forcing, 0.0, n_steps * h)
+    fa = scalar_interp(rhs.forcing) if rhs.forcing is not None else None
 
     # history buffer: index i holds u(-r + i h); derivative buffer alongside
     n_total = N + 1 + n_steps
     u = np.empty((n_total, d))
     du = np.empty((n_total, d))
-    if abs(init.samples.dt - h) <= 1e-12 and len(init.samples) == N + 1:
-        u[:N + 1] = init.samples.values.real
+    hist = init.samples
+    if abs(hist.t0 + r) <= 1e-12 and abs(hist.dt - h) <= 1e-12 and len(hist) == N + 1:
+        u[:N + 1] = hist.values.real
     else:
-        hist = init.samples.resample(h)
-        if len(hist) == N + 1:
-            u[:N + 1] = hist.values.real
-        else:
-            u[:N + 1] = init.samples.value_at(-r + h * np.arange(N + 1)).real
+        u[:N + 1] = blend(hist.values, (-r + h * np.arange(N + 1) - hist.t0) / hist.dt).real
     # derivative data for cells inside the initial history; du[N] is then
     # replaced by the right derivative: the joint at t=0 has two one-sided ones
     ghist = np.gradient(u[:N + 1], h, axis=0)
     du[:N + 1] = ghist
 
     def forced(c, ts):
-        if rhs.forcing is not None:
-            c[:, 0] += rhs.forcing.value_at(ts)[:, 0].real
+        if fa is not None:
+            c[:, 0] += fa(ts)
         return c
 
     def node_terms(lo, n):

@@ -60,8 +60,8 @@ from .signal import SampledSignal, Window, check_shift, fiber_clusters
 class RhsSpec:
     """Right-hand side of x' = f(t, x): catalog id or expression tree.
 
-    ``forcing`` is a tabulated SampledSignal consulted by catalog builders
-    and by ["forcing"] expression nodes (linear interpolation in t).
+    ``forcing`` is a tabulated SampledSignal that catalog fields and
+    ["forcing", i] expression nodes read by ``catalog.scalar_interp``.
     """
 
     kind: str                      # "catalog:<id>" or "expr"
@@ -379,10 +379,14 @@ def condition_h_margin(rhs: RhsSpec, p: ConditionHParams, t_samples, seed: int =
     The field is called once per sample time on all pairs stacked; each
     pair's margin keeps the arithmetic of a one-pair evaluation (|D|^alpha
     by the scalar power), and pairs with D = 0 or a NaN margin are skipped.
+    A forcing must cover the sample times (WindowOutOfDomainError).
     """
     if p.n_pairs < 1000:
         raise ValueError("need at least 10^3 sampled pairs")
     f = rhs.build()
+    t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
+    if t_samples.size:
+        _catalog.check_forcing_reads(rhs.forcing, t_samples.min(), t_samples.max())
     lo = np.asarray(p.sample_box[0], dtype=float)
     hi = np.asarray(p.sample_box[1], dtype=float)
     d = len(lo)
@@ -404,8 +408,8 @@ def condition_h_margin(rhs: RhsSpec, p: ConditionHParams, t_samples, seed: int =
     # numpy's array power rounds differently from the scalar pow
     decay = p.kappa * np.array([v ** p.alpha for v in nd[keep].tolist()])
     worst = np.inf
-    for t in np.atleast_1d(t_samples):
-        df = f(float(t), x1s) - f(float(t), x2s)
+    for t in t_samples.tolist():
+        df = f(t, x1s) - f(t, x2s)
         margin = -decay - np.real(np.sum(delta * df, axis=1))
         worst = np.fmin.reduce(margin, initial=worst)   # fmin skips NaN margins
     return float(worst)

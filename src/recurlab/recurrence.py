@@ -255,16 +255,6 @@ def _local_refine(objective, tau0, step, eps):
 _PROBE_STRIDE = 64
 
 
-def _strided_shift(v, dt, tau, stride):
-    """Samples of ``shift_values(v, dt, tau)`` at indices 0, stride, 2 stride, ...,
-    with the same bits: the same blend of the same neighbours, taken from strided
-    views."""
-    k, fr, m = shift_offset(len(v), dt, tau)
-    if fr == 0:
-        return v[k:k + m:stride]
-    return (1.0 - fr) * v[k:k + m:stride] + fr * v[k + 1:k + 1 + m:stride]
-
-
 def _joint_sup(flats, dt, tau, cap):
     """Worst sup |v(t+tau) - v(t)| over the flat arrays ``flats``, where
     v(t+tau) is sampled (inf when fewer than two such points exist), exact
@@ -274,7 +264,7 @@ def _joint_sup(flats, dt, tau, cap):
     ``cap`` and returns that sup. A result >= cap is attained at some grid
     point of some array and is at most the worst sup."""
     for v in flats:
-        sh = _strided_shift(v, dt, tau, _PROBE_STRIDE)
+        sh = shift_values(v, dt, tau, stride=_PROBE_STRIDE)
         val = _kernels.sup_diff(sh, v[:len(sh) * _PROBE_STRIDE:_PROBE_STRIDE])
         if val >= cap:
             return val

@@ -126,33 +126,10 @@ class SampledSignal:
         return SampledSignal(t0=self.t0 + i0 * self.dt, dt=self.dt,
                              values=self.values[i0:i1 + 1], label=self.label)
 
-    def value_at(self, t):
-        """Linear interpolation between neighbouring grid points.
-
-        t is a scalar (the result has shape (d,)) or an array of times (the
-        result has shape t.shape + (d,)).
-        """
-        t = np.asarray(t, dtype=float)
-        pos = (t - self.t0) / self.dt
-        outside = (pos < -GRID_RTOL) | (pos > len(self) - 1 + GRID_RTOL)
-        if np.any(outside):
-            raise WindowOutOfDomainError(f"t={t[outside][0]} outside domain "
-                                         f"[{self.t0}, {self.t_end}]")
-        return self._blend(pos)
-
-    def _blend(self, pos):
-        """Linear blend of neighbouring samples at fractional grid indices pos;
-        the end intervals extend past the span and one sample is constant."""
-        if len(self) == 1:
-            return np.broadcast_to(self.values[0], pos.shape + (self.dim,))
-        k = np.clip(np.floor(pos), 0, len(self) - 2).astype(np.intp)
-        fr = (pos - k)[..., None]
-        return (1.0 - fr) * self.values[k] + fr * self.values[k + 1]
-
     def resample(self, new_dt):
         """Linear-interpolation resample onto a coarser/finer uniform grid."""
         ts = self.t0 + new_dt * np.arange(SampledSignal.grid_len(0.0, self.span, new_dt))
-        vals = self._blend((ts - self.t0) / self.dt)
+        vals = blend(self.values, (ts - self.t0) / self.dt)
         return SampledSignal(t0=self.t0, dt=new_dt, values=vals, label=self.label)
 
     @staticmethod
@@ -171,6 +148,21 @@ class SampledSignal:
 # operations
 # ---------------------------------------------------------------------------
 
+def blend(v, pos):
+    """Linear blend of v[k] and v[k + 1], k = floor(pos) held to the end
+    cells, at the finite fractional indices ``pos`` (an array): the one
+    gathered off-grid read of samples. A pos past either end extrapolates
+    from its end cell; one sample is constant. v is flat or (n, d)."""
+    top = len(v) - 2
+    if top < 0:
+        return np.broadcast_to(v[0], pos.shape + v.shape[1:])
+    k = np.minimum(np.maximum(pos.astype(np.intp), 0), top)   # truncation: floor for pos >= 0
+    fr = pos - k
+    if v.ndim > 1:
+        fr = fr[..., None]
+    return (1.0 - fr) * v[k] + fr * v[k + 1]
+
+
 def shift_offset(n, dt, h):
     """(k, fr, m) for shifting n samples of step dt by h = (k + fr) dt.
 
@@ -186,20 +178,20 @@ def shift_offset(n, dt, h):
     return k, fr, max(0, n - k - (fr > 0))
 
 
-def shift_values(v, dt, h, last=None):
+def shift_values(v, dt, h, last=None, stride=1):
     """Samples of t -> v(t + h) on v's own grid phase, for h >= 0.
 
     ``v`` holds samples on a grid of step dt (flat or (n, d)). When h is a
-    grid multiple within GRID_RTOL the result is the view v[k:]; otherwise
-    neighbouring samples are blended linearly. Past the span the result is
-    empty. With ``last`` only the final ``last`` samples of that result are
-    formed (all of it when it is shorter), with the same bits.
+    grid multiple within GRID_RTOL the result is a view of v; otherwise
+    neighbouring slices are blended. Past the span it is empty. ``last``
+    forms only its final ``last`` samples (all when it is shorter) and
+    ``stride`` only its samples 0, stride, 2 stride, ..., with the same bits.
     """
     k, fr, m = shift_offset(len(v), dt, h)
     i = 0 if last is None else max(0, m - last)
     if fr == 0:
-        return v[k + i:]
-    return (1.0 - fr) * v[k + i:k + m] + fr * v[k + 1 + i:k + 1 + m]
+        return v[k + i:k + m:stride]
+    return (1.0 - fr) * v[k + i:k + m:stride] + fr * v[k + 1 + i:k + 1 + m:stride]
 
 
 def check_shift(s, h: float) -> None:
@@ -243,7 +235,7 @@ def _aligned_values(s1: SampledSignal, s2: SampledSignal, w: Window):
         b = s2.values[j0:j0 + (i1 - i0 + 1)]
     else:
         ts = s1.t0 + s1.dt * np.arange(i0, i1 + 1)
-        b = s2._blend((ts - s2.t0) / s2.dt)
+        b = blend(s2.values, (ts - s2.t0) / s2.dt)
     return a, b
 
 

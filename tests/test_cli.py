@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -418,6 +419,65 @@ def test_ode_reading_past_its_forcing_exits_two_naming_the_span(span, reads, tmp
            "forcing": {"forcing": "rap_sin_log", "t0": 0.0, "t1": 100.0, "dt": 0.01}}
     assert main(["run", str(write_cfg(tmp_path, cfg)), "--output-root", str(tmp_path)]) == 2
     assert f"reads the forcing on {reads}, but the forcing spans [0.0, 100.0]" in \
+        capsys.readouterr().err
+
+
+def test_condition_h_past_its_forcing_exits_two_naming_the_span(tmp_path, capsys):
+    # heq1's margin would extrapolate the forcing to t = 1e6, where it cancels
+    cfg = small_ode_cfg(condition_h={**CONDITION_H, "t_samples": [0.0, 1e6]})
+    assert main(["run", str(write_cfg(tmp_path, cfg)), "--output-root", str(tmp_path)]) == 2
+    assert "reads the forcing on [0.0, 1000000.0], but the forcing spans [0.0, 4.0]" in \
+        capsys.readouterr().err
+
+
+#: (shipped config, block, key, a value that passes validate but not the
+#: library, the key the config error names)
+REFUSED_VALUES = [
+    ("ode_attraction", "stability", "alpha", 2.0, "stability"),
+    ("ode_attraction", "tolerances", "rel", 0.5, "tolerances"),
+    ("ode_attraction", "stability", "horizon", -40.0, "stability"),
+    ("classify_rap_sin_log", "thresholds", "epsilon_grid", [0.05, 0.01], "epsilon_grid"),
+]
+
+
+@pytest.mark.parametrize("config, block, key, value, named", REFUSED_VALUES,
+                         ids=["alpha_2", "rel_tol_0.5", "negative_horizon", "descending_epsilon"])
+def test_a_value_the_library_refuses_exits_two_naming_its_key(config, block, key, value, named,
+                                                              tmp_path, capsys):
+    cfg = yaml.safe_load((CONFIG_DIR / f"{config}.yaml").read_text())
+    cfg[block][key] = value
+    cfg_path = write_cfg(tmp_path, cfg)
+    assert main(["validate", str(cfg_path)]) == 0
+    assert main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+    assert f"config error ({named}): " in capsys.readouterr().err
+
+
+def two_column_forcing_map(tmp_path, column):
+    """A map u -> ["forcing", column] on a two-column `.npy` forcing whose
+    column 1 holds 10 + t^2 at t = 0..5."""
+    from recurlab.signal import SampledSignal, write_signal
+
+    t = np.arange(6.0)
+    write_signal(SampledSignal(t0=0.0, dt=1.0, values=np.column_stack([t, 10.0 + t * t])),
+                 tmp_path / "forcing.npy")
+    return {"schema": 1, "kind": "map", "seed": 0, "output_dir": "out/column",
+            "map": {"expr": [["forcing", column]]},
+            "forcing": {"file": str(tmp_path / "forcing.npy")}, "x0": [0.0], "n_steps": 5}
+
+
+def test_an_expression_reads_the_forcing_column_it_names(tmp_path):
+    from recurlab.signal import read_signal
+
+    cfg_path = write_cfg(tmp_path, two_column_forcing_map(tmp_path, 1))
+    assert main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 0
+    orbit = read_signal(tmp_path / "out" / "column" / "orbit.npy")
+    assert orbit.values[1:, 0].tolist() == [10.0, 11.0, 14.0, 19.0, 26.0]
+
+
+def test_a_forcing_column_past_the_forcing_exits_two(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, two_column_forcing_map(tmp_path, 2))
+    assert main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+    assert "config error (forcing): expression reads forcing column 2, but the forcing has 2" in \
         capsys.readouterr().err
 
 

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from recurlab.catalog import build_forcing
+from recurlab.catalog import build_forcing, scalar_interp
 from recurlab.delay import (
     DelayRhsSpec,
     HistorySegment,
@@ -13,7 +14,7 @@ from recurlab.delay import (
 )
 from recurlab.errors import LagOutOfRangeError, NonFiniteValueError
 from recurlab.flows import IVP, RhsSpec, integrate
-from recurlab.signal import Window
+from recurlab.signal import SampledSignal, Window
 
 from helpers import history_from_function
 
@@ -156,10 +157,12 @@ def _rk4_step_by_step(rhs, init, horizon, dt):
                 vals.append(_hermite(u[k], u[k + 1], du[k], du[k + 1], s, h))
         return vals
 
+    forcing = scalar_interp(rhs.forcing) if rhs.forcing is not None else None
+
     def f(t, pos, state):
         out = sum(w * v for w, v in zip(weights, lagged_at(pos, state)))
-        if rhs.forcing is not None:
-            out = out + np.eye(d)[0] * rhs.forcing.value_at(t)[0].real
+        if forcing is not None:
+            out = out + np.eye(d)[0] * forcing(t)
         return out
 
     for i in range(n_steps):
@@ -207,3 +210,34 @@ def test_blow_up_raises_without_runtime_warnings(a):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValueError):
             integrate_dde(rhs, HistorySegment.constant(1.0, 1.0), 100.0, dt=0.01)
+
+
+# ---------------------------------------------------------------------------
+# the history read onto the grid -r + i h
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dt", [0.01, 0.005, 0.003])
+@pytest.mark.parametrize("t0", [-0.996, -1.004])
+def test_an_off_phase_history_fills_the_grid_at_its_own_times(t0, dt):
+    # u(theta) = theta on 101 samples that start within a step of -1; with
+    # u' = u(t - 1) the solution on [0, 1] is t^2/2 - t, which Hermite
+    # history and RK4 (Simpson's rule here) give exactly when the buffer
+    # holds u(-1 + i h)
+    init = HistorySegment(1.0, SampledSignal(t0=t0, dt=0.01, values=t0 + 0.01 * np.arange(101)))
+    rhs = DelayRhsSpec(lags=(-1.0,), params={"weights": [1.0]})
+    u = integrate_dde(rhs, init, 1.0, dt=dt)
+    ts = u.times()
+    assert abs(u.values[0, 0]) <= 1e-15
+    assert np.max(np.abs(u.values[:, 0] - (ts * ts / 2 - ts))) <= 1e-13
+
+
+def test_an_on_grid_history_keeps_its_bits():
+    # the benchmark's dde case: a constant history on the buffer's own grid
+    # is copied, so the solution has the bits it had before the history read
+    # changed (sha256 of the solution's bytes then)
+    f = build_forcing("rap_sin_log", 0.0, 16.0, 0.005)
+    rhs = DelayRhsSpec(lags=(0.0, -1.0), params={"weights": [-2.0, 0.5]}, forcing=f)
+    u = integrate_dde(rhs, HistorySegment.constant(1.0, 0.3), 6.0, dt=0.01)
+    assert u.values.shape == (601, 1) and u.values[0, 0] == 0.3
+    assert hashlib.sha256(u.values.tobytes()).hexdigest() == \
+        "c209cc699dc607c615eaadb738a80cea3e107bda2d5457491561b67f13f0bfdf"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from recurlab.flows import (
     integrate,
     uniform_stability_probe,
 )
-from recurlab.signal import Window
+from recurlab.signal import SampledSignal, Window
 
 from helpers import contraction_modulus
 
@@ -134,6 +135,34 @@ def test_solves_refuse_to_read_the_forcing_past_its_span(case, sin_forcing):
             run(sin_forcing)
     else:
         run(sin_forcing)
+
+
+#: linear_decay, x' = -x + forcing, written as an expression
+LINEAR_DECAY_EXPR = (["+", ["neg", ["x", 0]], ["forcing"]],)
+
+
+def test_an_expression_field_reads_the_forcing_as_the_catalog_field_does():
+    # one forcing reader serves both fields, so their solves agree bit for
+    # bit: one state, and a hull family of 3 shifts x 2 states stacked (one
+    # forcing time per member)
+    f = build_forcing("rap_sin_log", 0.0, 60.0, 0.01)
+    specs = (RhsSpec("catalog:linear_decay", forcing=f),
+             RhsSpec("expr", expr=LINEAR_DECAY_EXPR, forcing=f))
+    cat, ex = (integrate(IVP(rhs, (0.3,), Window(0, 40), out_dt=0.05)) for rhs in specs)
+    assert cat.values.tobytes() == ex.values.tobytes()
+    cat, ex = ([run.sol.values.tobytes() for run in hull_solutions(
+        rhs, [0.0, 3.7, 11.2], [(0.3,), (-1.0,)], 40.0, out_dt=0.05)] for rhs in specs)
+    assert len(cat) == 6 and cat == ex
+
+
+def test_an_expression_field_reads_the_real_part_of_a_complex_forcing():
+    forcing = SampledSignal(t0=0.0, dt=0.5, values=[[1 + 2j, 5j], [3 - 1j, 1 + 1j],
+                                                    [-2 + 0.5j, 0j]])
+    f = RhsSpec("expr", expr=(["forcing"], ["forcing", 1]), forcing=forcing).build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no ComplexWarning from a discarded imaginary part
+        assert f(0.25, np.zeros(2)).tolist() == [2.0, 0.5]
+        assert f(np.array([0.25, 0.75]), np.zeros((2, 2))).tolist() == [[2.0, 0.5], [0.5, 0.5]]
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +397,22 @@ def test_condition_h_params_validation():
         ConditionHParams(kappa=0.5, alpha=2.0, sample_box=((-1.0,), (1.0,)))
     with pytest.raises(ValueError):
         ConditionHParams(kappa=-1.0, alpha=3.0, sample_box=((-1.0,), (1.0,)))
+
+
+#: heq1, x' = -|x| x + forcing, written as an expression
+HEQ1_EXPR = (["+", ["*", ["neg", ["norm"]], ["x", 0]], ["forcing"]],)
+
+
+@pytest.mark.parametrize("kind, expr", [("catalog:heq1", None), ("expr", HEQ1_EXPR)])
+def test_condition_h_refuses_sample_times_past_its_forcing(kind, expr):
+    # the catalog field would extrapolate the forcing, which cancels in the
+    # margin, and report 0.0 for t = 1e6; both forms refuse before sampling
+    rhs = RhsSpec(kind, expr=expr, forcing=build_forcing("sin", 0.0, 10.0, 0.01))
+    p = ConditionHParams(kappa=0.5, alpha=3.0, sample_box=((-10.0,), (10.0,)), n_pairs=2000)
+    assert condition_h_margin(rhs, p, [0.0, 10.0]) >= 0.0
+    with pytest.raises(WindowOutOfDomainError,
+                       match=r"on \[1000000.0, 1000000.0\], but the forcing spans \[0.0, 10.0\]"):
+        condition_h_margin(rhs, p, [1e6])
 
 
 # ---------------------------------------------------------------------------

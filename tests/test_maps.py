@@ -181,6 +181,21 @@ def test_iteration_refuses_to_read_the_forcing_past_its_span():
                              cluster_tol=0.1)
 
 
+def test_an_expression_map_reads_the_forcing_as_the_catalog_map_does():
+    # u -> 0.5 u + forcing(t) as affine and as an expression, on a forcing
+    # grid the integer times fall between: one orbit, and a stacked family
+    # whose members read the forcing at their own shifted times
+    f = build_forcing("rap_sin_log", 0.0, 50.0, 0.3)
+    specs = (MapSpec("catalog:affine", forcing=f),
+             MapSpec("expr", expr=(["+", ["*", ["const", 0.5], ["x", 0]], ["forcing"]],),
+                     forcing=f))
+    cat, ex = (iterate(m, [0.7], 40).values for m in specs)
+    assert cat.tobytes() == ex.tobytes()
+    cat, ex = ([o.values.tobytes() for o in maps._iterate_family(
+        m, [[0.7], [-1.0], [0.7], [2.0]], [0.0, 0.0, 1.5, 4.2], 40)] for m in specs)
+    assert cat == ex
+
+
 def test_negative_shift_is_refused_without_a_forcing():
     # hulls are built from h >= 0, as translate requires; a system whose
     # time dependence sits in ["t"] nodes has no forcing to check it against

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from recurlab import _kernels
 from recurlab.algebra import _compose_branches, _nearest_steps, _prefix_compose, \
     discriminant_signal, root_bound_check, roots_grid, track_branches
-from recurlab.errors import EmptyDomainError
+from recurlab.catalog import check_forcing_reads, scalar_interp
+from recurlab.errors import EmptyDomainError, WindowOutOfDomainError
 from recurlab.flows import attraction_time
 from recurlab.maps import MapSpec, iterate
 from recurlab.recurrence import _best_alignment
@@ -103,11 +104,13 @@ def test_scan_shift_is_translate_bit_for_bit(seed, k, frac, on_grid, last):
         return
     assert sh.shape == (len(tr),)
     assert sh.tobytes() == tr.values[:, 0].tobytes()
-    # value_at interpolates exactly; the shift snaps tau within GRID_RTOL of the grid
+    # the forcing reader interpolates exactly; the shift snaps tau within
+    # GRID_RTOL of the grid
     pos = tau / s.dt
     snapped = round(pos) * s.dt if abs(pos - round(pos)) <= GRID_RTOL else tau
     ts = s.t0 + s.dt * np.arange(0, len(sh), 37)
-    expected = [s.value_at(t + snapped)[0] for t in ts]
+    read = scalar_interp(s)
+    expected = [read(t + snapped) for t in ts.tolist()]
     assert np.allclose(sh[::37], expected, rtol=0, atol=1e-12)
 
 
@@ -123,7 +126,8 @@ def reference_blend(v, pos):
        st.sampled_from([0.3, 0.7, 1.3, 2.9]))
 @settings(max_examples=80, deadline=None)
 def test_one_blend_keeps_the_interpolation_bits(seed, n, cplx, d, ratio):
-    # value_at, resample and the off-grid branch of _aligned_values share one
+    # resample, the off-grid branch of _aligned_values and the forcing
+    # reader, column by column and at array and scalar times, share one
     # blend; for two or more samples it must repeat the reference bit for bit
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if cplx else 0.0)
@@ -133,7 +137,12 @@ def test_one_blend_keeps_the_interpolation_bits(seed, n, cplx, d, ratio):
     pos = (ts - s.t0) / s.dt
     assert r.values.tobytes() == reference_blend(s.values, pos).tobytes()
     inside = pos <= n - 1
-    assert s.value_at(ts[inside]).tobytes() == reference_blend(s.values, pos[inside]).tobytes()
+    want = reference_blend(s.values, pos[inside]).real
+    for j in range(d):
+        read = scalar_interp(s, j)
+        assert read(ts[inside]).tobytes() == np.ascontiguousarray(want[:, j]).tobytes()
+        assert np.array([read(t) for t in ts[inside].tolist()]).tobytes() == \
+            np.ascontiguousarray(want[:, j]).tobytes()
     t1 = s.t0 + rng.uniform(0.1, 0.9) * s.dt
     m = int(np.ceil((s.t_end - t1) / (ratio * s.dt))) + 1
     s1 = SampledSignal(t0=t1, dt=ratio * s.dt, values=np.zeros((m, d)))
@@ -146,13 +155,18 @@ def test_one_blend_keeps_the_interpolation_bits(seed, n, cplx, d, ratio):
 
 def test_one_sample_signal_aligns_as_its_sample():
     # a one-sample s2 meets s1's grid point a hair before its time: the
-    # blend returns the sample itself
+    # blend returns the sample itself, and so does the forcing reader within
+    # the GRID_RTOL slack that check_forcing_reads allows past the last sample
     v = 0.1 + 0.7j
     s2 = SampledSignal(t0=1.0, dt=0.3, values=[[v]])
     s1 = SampledSignal(t0=1.0 - 1e-7, dt=0.1, values=[[0j], [0j]])
     a, b = _aligned_values(s1, s2, Window(1.0 - 1e-7, 1.0))
     assert a.shape == b.shape == (1, 1) and b[0, 0] == v
-    assert s2.value_at([1.0, 1.0 + 1e-10]).tolist() == [[v], [v]]
+    check_forcing_reads(s2, 1.0, 1.0 + 1e-10)
+    assert scalar_interp(s2)(np.array([1.0, 1.0 + 1e-10])).tolist() == [v.real, v.real]
+    assert scalar_interp(s2)(1.0) == v.real
+    with pytest.raises(WindowOutOfDomainError):
+        check_forcing_reads(s2, 1.0, 1.0 + 1e-6)
 
 
 def alignment_case(kind, seed, n, nt, exact):

@@ -23,7 +23,6 @@ from recurlab.recurrence import (
     _least_start,
     _local_refine,
     _scan,
-    _strided_shift,
     _tail_diff,
     equi_ap_test,
     remotely_tau_periodic_test,
@@ -124,7 +123,7 @@ def test_strided_probe_samples_equal_the_full_shift(seed, k, where, stride):
     frac = {"grid": 0.0, "near_grid": 0.5 * GRID_RTOL, "off_grid": rng.uniform(0.01, 0.99)}[where]
     tau = (k + frac) * dt
     full = shift_values(v, dt, tau)
-    got = _strided_shift(v, dt, tau, stride)
+    got = shift_values(v, dt, tau, stride=stride)
     assert np.array_equal(_bits(got), _bits(full[::stride]))
 
 
